@@ -9,7 +9,9 @@
 #      blocking DAP collectives with abort/recover, loader prep faults +
 #      worker kill, checkpoint writes crashing mid-save;
 #   4. a longer serving soak at a distinct seed;
-#   5. BENCH_*.json validation.
+#   5. concurrency stress: the `concurrency`-labelled tests repeated until
+#      one fails (up to 50 times) beside two busy-loop CPU competitors;
+#   6. BENCH_*.json validation.
 #
 # Same loud-skip contract as ci.sh: nothing is skipped silently.
 set -uo pipefail
@@ -75,6 +77,20 @@ gate "chaos matrix (${CHAOS_SEEDS} seeds x {ddp, dap, loader, checkpoint})" \
 gate "serving SLO gates at nightly seed" \
   env SF_SEED=4242 ./build/bench/bench_serving --check \
   --out build/BENCH_serving_nightly.json
+
+# Concurrency stress: timing assumptions that hold only on an idle host
+# (a worker or helper that is never descheduled) fail here. The subshell's
+# trap kills both competitors however the lane exits.
+stress_concurrency() (
+  spin() { while :; do :; done; }
+  trap 'kill $(jobs -p) 2>/dev/null' EXIT
+  spin &
+  spin &
+  ctest --test-dir build -L concurrency --repeat until-fail:50 \
+    -j "${JOBS}" --output-on-failure
+)
+gate "concurrency stress (until-fail:50, 2 CPU competitors)" \
+  stress_concurrency
 
 gate "BENCH_*.json schema/finiteness/axis validation" \
   python3 tools/check_bench_json.py --dir build

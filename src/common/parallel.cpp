@@ -5,6 +5,7 @@
 #include <condition_variable>
 #include <cstdlib>
 #include <exception>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -21,8 +22,15 @@ namespace {
 /// the split — and every reduction order built on it — is reproducible.
 constexpr int64_t kMaxChunksPerLoop = 64;
 
+/// Completion checks the caller makes, yielding between them, before it
+/// sleeps on the condition variable: a chunk a helper is finishing usually
+/// ends within a few scheduler slices, and a sleep/wake round-trip costs
+/// more than that.
+constexpr int kSpinYields = 64;
+
 std::atomic<int> g_thread_override{0};
 thread_local bool t_in_parallel_region = false;
+thread_local int t_budget = std::numeric_limits<int>::max();
 
 int default_threads() {
   static const int cached = [] {
@@ -34,6 +42,11 @@ int default_threads() {
     return hc == 0 ? 1 : static_cast<int>(hc);
   }();
   return cached;
+}
+
+int global_threads() {
+  int o = g_thread_override.load(std::memory_order_relaxed);
+  return o >= 1 ? o : default_threads();
 }
 
 // Process-wide compute pool, created lazily at first parallel call and
@@ -53,10 +66,7 @@ std::shared_ptr<ThreadPool> pool_with_at_least(int workers) {
 
 }  // namespace
 
-int num_threads() {
-  int o = g_thread_override.load(std::memory_order_relaxed);
-  return o >= 1 ? o : default_threads();
-}
+int num_threads() { return std::min(global_threads(), t_budget); }
 
 void set_num_threads(int n) {
   g_thread_override.store(n >= 1 ? n : 0, std::memory_order_relaxed);
@@ -64,11 +74,11 @@ void set_num_threads(int n) {
 
 bool in_parallel_region() { return t_in_parallel_region; }
 
-SerialRegionGuard::SerialRegionGuard() : prev_(t_in_parallel_region) {
-  t_in_parallel_region = true;
+IntraOpBudget::IntraOpBudget(int n) : prev_(t_budget) {
+  t_budget = std::min(prev_, std::max(1, n));
 }
 
-SerialRegionGuard::~SerialRegionGuard() { t_in_parallel_region = prev_; }
+IntraOpBudget::~IntraOpBudget() { t_budget = prev_; }
 
 namespace detail {
 
@@ -100,13 +110,19 @@ void run_chunks(int64_t n_chunks, const std::function<void(int64_t)>& body) {
     return;
   }
 
+  // Completion is counted per chunk, not per helper: once every chunk has
+  // been claimed and finished the caller returns, even if some submitted
+  // helpers have not started yet (their pool workers are busy with another
+  // rank's region, or their vCPU is descheduled). Such a late helper finds
+  // the chunk counter exhausted, claims nothing and never touches `body`;
+  // it only touches `state`, which it co-owns.
   struct State {
     std::atomic<int64_t> next_chunk{0};
+    std::atomic<int64_t> chunks_done{0};
     std::atomic<bool> failed{false};
     std::mutex mu;
     std::condition_variable cv;
     std::exception_ptr first_error;
-    int helpers_live = 0;
   };
   auto state = std::make_shared<State>();
   const int64_t total = n_chunks;
@@ -118,31 +134,36 @@ void run_chunks(int64_t n_chunks, const std::function<void(int64_t)>& body) {
     while ((c = state->next_chunk.fetch_add(1,
                                             std::memory_order_relaxed)) <
            total) {
-      if (state->failed.load(std::memory_order_relaxed)) continue;
-      try {
-        body(c);
-      } catch (...) {
+      if (!state->failed.load(std::memory_order_relaxed)) {
+        try {
+          body(c);
+        } catch (...) {
+          std::lock_guard<std::mutex> lock(state->mu);
+          if (!state->first_error) {
+            state->first_error = std::current_exception();
+          }
+          state->failed.store(true, std::memory_order_relaxed);
+        }
+      }
+      // Release: the chunk's writes happen-before the caller's acquire of
+      // the final count. The last finisher notifies under the mutex so a
+      // caller that has just checked the count cannot miss the wake-up.
+      if (state->chunks_done.fetch_add(1, std::memory_order_acq_rel) + 1 ==
+          total) {
         std::lock_guard<std::mutex> lock(state->mu);
-        if (!state->first_error) state->first_error = std::current_exception();
-        state->failed.store(true, std::memory_order_relaxed);
+        state->cv.notify_all();
       }
     }
   };
 
   const int helpers =
       static_cast<int>(std::min<int64_t>(threads - 1, n_chunks - 1));
-  auto pool = pool_with_at_least(helpers);
-  state->helpers_live = helpers;
+  auto pool = pool_with_at_least(global_threads() - 1);
   for (int h = 0; h < helpers; ++h) {
-    // Helpers reference `drain` state via the shared_ptr; the caller waits
-    // for every helper to finish before returning, so the captured
-    // reference to `body` stays valid for the helpers' whole lifetime.
-    pool->submit([state, drain] {
+    pool->submit([drain] {
       t_in_parallel_region = true;
       drain();
       t_in_parallel_region = false;
-      std::lock_guard<std::mutex> lock(state->mu);
-      if (--state->helpers_live == 0) state->cv.notify_all();
     });
   }
 
@@ -152,14 +173,20 @@ void run_chunks(int64_t n_chunks, const std::function<void(int64_t)>& body) {
   drain();
   t_in_parallel_region = false;
 
-  {
-    std::unique_lock<std::mutex> lock(state->mu);
-    state->cv.wait(lock, [&] { return state->helpers_live == 0; });
-    if (state->first_error) {
-      std::exception_ptr e = state->first_error;
-      lock.unlock();
-      std::rethrow_exception(e);
-    }
+  const auto all_done = [&] {
+    return state->chunks_done.load(std::memory_order_acquire) == total;
+  };
+  for (int i = 0; i < kSpinYields && !all_done(); ++i) {
+    std::this_thread::yield();
+  }
+  std::unique_lock<std::mutex> lock(state->mu);
+  state->cv.wait(lock, all_done);
+  if (state->first_error) {
+    // Moved out, not copied: a late helper may drop the last reference to
+    // `state`, and must not be the one that releases the exception.
+    std::exception_ptr e = std::move(state->first_error);
+    lock.unlock();
+    std::rethrow_exception(e);
   }
 }
 

@@ -21,9 +21,12 @@
 //      survives and later parallel calls work normally.
 //
 // Thread count resolution: set_num_threads() override, else SF_NUM_THREADS
-// from the environment, else std::thread::hardware_concurrency(). The pool
-// is created lazily on first parallel call and resized (recreated) if a
-// later override asks for more threads.
+// from the environment, else std::thread::hardware_concurrency(). That
+// global count is then capped per thread by the innermost IntraOpBudget the
+// thread holds: DDP and DAP rank threads each hold max(1, count / world),
+// so W ranks together fork about `count` threads instead of W * count. The
+// pool is created lazily on first parallel call with count - 1 workers and
+// recreated if a later override asks for more.
 #pragma once
 
 #include <cstdint>
@@ -32,12 +35,13 @@
 
 namespace sf {
 
-/// Intra-op thread count currently in effect (>= 1).
+/// Intra-op thread count in effect on the calling thread (>= 1): the
+/// global count, capped by the calling thread's IntraOpBudget.
 int num_threads();
 
-/// Override the intra-op thread count at runtime (benches sweep this).
-/// n >= 1 sets the override; n <= 0 clears it back to SF_NUM_THREADS /
-/// hardware_concurrency.
+/// Override the global intra-op thread count at runtime (benches sweep
+/// this). n >= 1 sets the override; n <= 0 clears it back to
+/// SF_NUM_THREADS / hardware_concurrency.
 void set_num_threads(int n);
 
 /// True on a thread currently executing parallel_for/parallel_reduce
@@ -45,21 +49,21 @@ void set_num_threads(int n);
 /// such a thread run inline.
 bool in_parallel_region();
 
-/// RAII: marks the current thread as inside a parallel region so every
-/// parallel_for/parallel_reduce it issues runs inline (single-threaded).
-/// DAP rank threads hold one of these: the ranks themselves provide the
-/// process's parallelism, and every parallelized kernel is bitwise
-/// identical at any thread count, so forcing the serial path changes
-/// scheduling but never results.
-class SerialRegionGuard {
+/// RAII per-thread intra-op budget: while it lives, num_threads() on this
+/// thread returns min(global count, n), so each parallel region the thread
+/// runs forks at most n - 1 helpers. Budgets nest by taking the minimum,
+/// and the destructor restores the previous one. n = 1 runs every region
+/// inline. Every parallelized kernel is bitwise identical at any thread
+/// count, so a budget changes scheduling but never results.
+class IntraOpBudget {
  public:
-  SerialRegionGuard();
-  ~SerialRegionGuard();
-  SerialRegionGuard(const SerialRegionGuard&) = delete;
-  SerialRegionGuard& operator=(const SerialRegionGuard&) = delete;
+  explicit IntraOpBudget(int n);
+  ~IntraOpBudget();
+  IntraOpBudget(const IntraOpBudget&) = delete;
+  IntraOpBudget& operator=(const IntraOpBudget&) = delete;
 
  private:
-  bool prev_;
+  int prev_;
 };
 
 struct ChunkRange {
@@ -82,7 +86,10 @@ ChunkRange chunk_bounds(int64_t n, int64_t n_chunks, int64_t idx);
 /// Run body(chunk_idx) for every chunk index in [0, n_chunks), on the
 /// compute pool when profitable. Chunk-to-thread assignment is dynamic
 /// (it does not affect results: chunks are data-disjoint by contract).
-/// Rethrows the first chunk exception after all chunks finish.
+/// Returns once every chunk has finished, without waiting for helpers that
+/// have not started: a helper that starts after the last chunk was claimed
+/// claims nothing and never touches `body`. Rethrows the first chunk
+/// exception after all chunks finish.
 void run_chunks(int64_t n_chunks, const std::function<void(int64_t)>& body);
 
 }  // namespace detail

@@ -450,10 +450,16 @@ std::pair<Tensor, Tensor> ShardedEvoformer::forward_sharded(
   std::vector<RankScratch> scratch(world_);
   {
     SF_TRACE_SPAN("dap", "dap.sharded_stack");
+    // Each rank computes its shard with an equal share of the intra-op
+    // threads (the ranks themselves are the rest of the parallelism).
+    // Kernel results per row are independent of the thread count, so the
+    // share changes scheduling, never bits.
+    const int budget = std::max(1, num_threads() / world_);
     std::vector<std::thread> threads;
     threads.reserve(world_);
     for (int rank = 0; rank < world_; ++rank) {
       threads.emplace_back([&, rank] {
+        IntraOpBudget share(budget);
         auto body = [&] {
           rank_body(rank, msa_in, pair_in, add_mask, msa_masks, pair_masks,
                     msa_out, pair_out, scratch[rank]);
@@ -521,12 +527,7 @@ void ShardedEvoformer::rank_body(
   const int64_t ls = s / world_, lr = r / world_;
   const int64_t s_off = rank * ls, r_off = rank * lr;
 
-  // Every rank thread computes its shard serially: parallel_for inside the
-  // kernels runs inline, so kernel results per row are independent of how
-  // many ranks share the machine (the ranks themselves are the
-  // parallelism).
   autograd::NoGradGuard no_grad;
-  SerialRegionGuard serial;
   SF_TRACE_SPAN_ID("dap", "dap.stack_forward", rank);
 
   Tensor msa_loc = slice_rows(msa_in, s_off, ls);

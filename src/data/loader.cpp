@@ -114,6 +114,8 @@ void PrefetchLoader::worker_loop() {
             in_flight_ < config_.max_in_flight) {
           idx = next_to_schedule_++;
           ++in_flight_;
+          stats_.max_in_flight_seen =
+              std::max(stats_.max_in_flight_seen, in_flight_);
           break;
         }
         if (next_to_schedule_ >= num_batches_ && in_progress_.empty()) {

@@ -78,6 +78,9 @@ struct LoaderStats {
   int64_t requeues = 0;            ///< timed-out batches re-claimed by a worker
   int64_t dropped_duplicates = 0;  ///< late results for already-done batches
   int64_t worker_deaths = 0;       ///< workers lost to an injected crash
+  /// Most indices ever claimed and not yet yielded at one instant (never
+  /// exceeds LoaderConfig::max_in_flight).
+  int64_t max_in_flight_seen = 0;
 };
 
 /// Prefetching loader over an index range [0, num_batches).

@@ -55,13 +55,64 @@ void FeatureCache::put(uint64_t key, const data::Batch& batch) {
   if (!config_.enabled) return;
   const int64_t cost = batch_bytes(batch);
   std::lock_guard<std::mutex> lock(mu_);
-  if (index_.count(key)) return;  // racing featurizers: first insert wins
+  put_locked(key, batch, cost);
+}
+
+void FeatureCache::put_locked(uint64_t key, const data::Batch& batch,
+                              int64_t cost) {
+  if (index_.count(key)) return;  // already cached: first insert wins
   if (cost > config_.max_bytes) return;  // larger than the whole budget
   lru_.push_front(Entry{key, batch, cost});
   index_[key] = lru_.begin();
   bytes_ += cost;
   evict_to_budget_locked();
   metrics().bytes.set(static_cast<double>(bytes_));
+}
+
+data::Batch FeatureCache::get_or_compute(
+    uint64_t key, const std::function<data::Batch()>& compute, bool* hit) {
+  if (hit) *hit = false;
+  if (!config_.enabled) return compute();
+  std::promise<data::Batch> promise;
+  {
+    std::unique_lock<std::mutex> lock(mu_);
+    if (auto it = index_.find(key); it != index_.end()) {
+      lru_.splice(lru_.begin(), lru_, it->second);  // promote to MRU
+      ++hits_;
+      metrics().hits.add();
+      if (hit) *hit = true;
+      return it->second->batch;
+    }
+    if (auto it = in_flight_.find(key); it != in_flight_.end()) {
+      ++hits_;
+      metrics().hits.add();
+      if (hit) *hit = true;
+      std::shared_future<data::Batch> pending = it->second;
+      lock.unlock();
+      return pending.get();  // rethrows the computing caller's error
+    }
+    ++misses_;
+    metrics().misses.add();
+    in_flight_.emplace(key, promise.get_future().share());
+  }
+  try {
+    data::Batch batch = compute();
+    const int64_t cost = batch_bytes(batch);
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      put_locked(key, batch, cost);
+      in_flight_.erase(key);
+    }
+    promise.set_value(batch);
+    return batch;
+  } catch (...) {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      in_flight_.erase(key);
+    }
+    promise.set_exception(std::current_exception());
+    throw;
+  }
 }
 
 void FeatureCache::evict_to_budget_locked() {

@@ -12,9 +12,16 @@
 // total payload bytes fit max_bytes. An entry larger than the whole budget
 // is simply not cached. Hit/miss/eviction counters and a byte gauge are
 // registered in sf_obs under serve.cache.*.
+//
+// get_or_compute() is single-flight: the first miss of a key computes it,
+// and concurrent lookups of the same key wait on that one computation (and
+// count as hits), so misses equal distinct keys and no featurization runs
+// twice. A failed computation reaches every waiter and caches nothing.
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <future>
 #include <list>
 #include <mutex>
 #include <optional>
@@ -50,6 +57,16 @@ class FeatureCache {
   /// entries until bytes() <= max_bytes.
   void put(uint64_t key, const data::Batch& batch);
 
+  /// Single-flight lookup: a cached entry is a hit; a key another caller
+  /// is computing is waited for and is also a hit; otherwise this call
+  /// counts the miss, runs `compute`, caches its result and hands it to
+  /// every waiter. If `compute` throws, every waiter rethrows it. `*hit`
+  /// (if given) reports whether this call was a hit. A disabled cache
+  /// just runs `compute`.
+  data::Batch get_or_compute(uint64_t key,
+                             const std::function<data::Batch()>& compute,
+                             bool* hit = nullptr);
+
   int64_t bytes() const;
   int64_t entries() const;
   int64_t hits() const;
@@ -64,12 +81,15 @@ class FeatureCache {
     int64_t bytes;
   };
 
+  void put_locked(uint64_t key, const data::Batch& batch, int64_t cost);
   void evict_to_budget_locked();
 
   const FeatureCacheConfig config_;
   mutable std::mutex mu_;
   std::list<Entry> lru_;  ///< front = most recently used
   std::unordered_map<uint64_t, std::list<Entry>::iterator> index_;
+  /// Keys being computed by get_or_compute(), with the shared result.
+  std::unordered_map<uint64_t, std::shared_future<data::Batch>> in_flight_;
   int64_t bytes_ = 0;
   int64_t hits_ = 0;
   int64_t misses_ = 0;

@@ -145,13 +145,10 @@ void Service::featurize_task(Request req) {
     QueuedItem item;
     const uint64_t key =
         FeatureCache::key(dataset_.sequence(req.sample_index), req.bucket_len);
-    if (auto cached = cache_.get(key)) {
-      item.features = std::move(*cached);
-      item.cache_hit = true;
-    } else {
-      item.features = dataset_.prepare_batch(req.sample_index, req.bucket_len);
-      cache_.put(key, item.features);
-    }
+    item.features = cache_.get_or_compute(
+        key,
+        [&] { return dataset_.prepare_batch(req.sample_index, req.bucket_len); },
+        &item.cache_hit);
     item.featurize_s = timer.elapsed();
     metrics().featurize_s.observe(item.featurize_s);
     item.req = req;

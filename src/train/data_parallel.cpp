@@ -1,5 +1,6 @@
 #include "train/data_parallel.h"
 
+#include <algorithm>
 #include <cmath>
 #include <exception>
 #include <thread>
@@ -7,6 +8,7 @@
 #include "autograd/var.h"
 #include "common/error.h"
 #include "common/fault.h"
+#include "common/parallel.h"
 #include "common/timer.h"
 #include "kernels/optimizer_kernels.h"
 #include "obs/trace.h"
@@ -300,10 +302,19 @@ StepResult DataParallelTrainer::train_step(
   };
 
   if (world_size_ == 1) {
-    rank_fn(0);
+    rank_fn(0);  // one rank keeps the caller's full intra-op count
   } else {
+    // Each rank thread gets an equal share of the intra-op threads, so the
+    // ranks together fork about num_threads() threads rather than world
+    // times that. Kernels are bitwise identical at any thread count.
+    const int budget = std::max(1, num_threads() / world_size_);
     std::vector<std::thread> threads;
-    for (int r = 0; r < world_size_; ++r) threads.emplace_back(rank_fn, r);
+    for (int r = 0; r < world_size_; ++r) {
+      threads.emplace_back([&rank_fn, budget, r] {
+        IntraOpBudget share(budget);
+        rank_fn(r);
+      });
+    }
     for (auto& t : threads) t.join();
   }
 

@@ -35,24 +35,29 @@ std::vector<kernels::ParamChunk> Optimizer::build_chunks() {
   return chunks;
 }
 
+namespace {
+
+/// Global gradient norm over per-tensor buckets (no copies).
+float bucketed_norm(const std::vector<kernels::ParamChunk>& chunks) {
+  std::vector<const float*> buckets;
+  std::vector<int64_t> sizes;
+  buckets.reserve(chunks.size());
+  sizes.reserve(chunks.size());
+  for (const auto& c : chunks) {
+    buckets.push_back(c.grad);
+    sizes.push_back(c.n);
+  }
+  return kernels::grad_norm_bucketed(buckets, sizes);
+}
+
+}  // namespace
+
 void Optimizer::step(float lr_scale) {
   auto chunks = build_chunks();
-
   // Global gradient norm: bucketed (no copies) or concat (naive).
-  float norm;
-  if (config_.bucketed_grad_norm) {
-    std::vector<const float*> buckets;
-    std::vector<int64_t> sizes;
-    buckets.reserve(chunks.size());
-    sizes.reserve(chunks.size());
-    for (const auto& c : chunks) {
-      buckets.push_back(c.grad);
-      sizes.push_back(c.n);
-    }
-    norm = kernels::grad_norm_bucketed(buckets, sizes);
-  } else {
-    norm = kernels::grad_norm_concat(chunks);
-  }
+  const float norm = config_.bucketed_grad_norm
+                         ? bucketed_norm(chunks)
+                         : kernels::grad_norm_concat(chunks);
   apply_update(chunks, norm, lr_scale);
 }
 
@@ -90,18 +95,7 @@ void Optimizer::apply_update(std::vector<kernels::ParamChunk>& chunks,
   }
 }
 
-float Optimizer::grad_norm() {
-  auto chunks = build_chunks();
-  std::vector<const float*> buckets;
-  std::vector<int64_t> sizes;
-  buckets.reserve(chunks.size());
-  sizes.reserve(chunks.size());
-  for (const auto& c : chunks) {
-    buckets.push_back(c.grad);
-    sizes.push_back(c.n);
-  }
-  return kernels::grad_norm_bucketed(buckets, sizes);
-}
+float Optimizer::grad_norm() { return bucketed_norm(build_chunks()); }
 
 std::map<std::string, Tensor> Optimizer::export_state() const {
   SF_CHECK(!swa_swapped_) << "export_state() while SWA weights are swapped in";

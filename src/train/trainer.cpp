@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstring>
 #include <map>
+#include <optional>
 
 #include "common/error.h"
 #include "common/logging.h"
@@ -171,11 +172,14 @@ StepResult Trainer::step_impl(std::span<const data::Batch> batches,
   result.loss = static_cast<float>(loss_acc / batches.size());
   result.lddt = static_cast<float>(lddt_acc / batches.size());
 
+  // The guard's norm, when computed, is the one the optimizer needs.
+  std::optional<float> guard_norm;
   if (config_.skip_nonfinite_steps) {
     // NaN/Inf guard: a poisoned loss or gradient must not reach the
     // weights — Adam moments would stay contaminated for the rest of the
     // run. Skip the update, report it, keep going.
     const float norm = opt_.grad_norm();
+    guard_norm = norm;
     if (!std::isfinite(loss_acc) || !std::isfinite(norm)) {
       opt_.zero_grad();
       ++skipped_steps_;
@@ -193,7 +197,12 @@ StepResult Trainer::step_impl(std::span<const data::Batch> batches,
   {
     SF_TRACE_SPAN("train", "optimizer");
     graph::CapturePhase phase("optimizer");
-    opt_.step(current_lr_scale());
+    if (guard_norm && opt_.config().bucketed_grad_norm) {
+      // grad_norm() runs the bucketed kernel step() would run: same bits.
+      opt_.step_with_norm(*guard_norm, current_lr_scale());
+    } else {
+      opt_.step(current_lr_scale());
+    }
   }
   result.grad_norm = opt_.last_grad_norm();
   result.seconds = timer.elapsed();

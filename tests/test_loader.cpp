@@ -30,6 +30,20 @@ PrefetchLoader::BatchFn delayed_batches(std::vector<int> delays_ms) {
   };
 }
 
+// The reordering the loader's own window bounds, however the host schedules
+// its workers: batch i is claimed only while fewer than `in_flight` claimed
+// batches are unyielded, so at least i - in_flight + 1 batches yield before
+// it. How late a batch yields has no such bound: a descheduled worker turns
+// a 0-delay batch into a slow one, and ready-first lets later batches
+// overtake it.
+void expect_none_early_beyond_window(const std::vector<int64_t>& order,
+                                     int in_flight) {
+  for (size_t pos = 0; pos < order.size(); ++pos) {
+    EXPECT_LT(order[pos] - static_cast<int64_t>(pos), in_flight)
+        << "index " << order[pos] << " at position " << pos;
+  }
+}
+
 LoaderConfig config(YieldPolicy policy, int workers = 2, int in_flight = 4) {
   LoaderConfig c;
   c.policy = policy;
@@ -74,16 +88,16 @@ TEST(Loader, ReadyFirstReorderingBoundedByWindow) {
                         config(YieldPolicy::kReadyFirst, 3, in_flight));
   std::vector<int64_t> order;
   while (loader.has_next()) order.push_back(loader.next().index);
-  // A *fast* batch is only reordered within the prefetch window: it can be
-  // held back only by smaller ready indices and overtaken only while it is
-  // one of the <= in_flight incomplete batches. (The slow batch itself may
-  // be overtaken arbitrarily many times — that is the point of the
-  // non-blocking design.)
-  for (size_t pos = 0; pos < order.size(); ++pos) {
-    if (order[pos] == 10) continue;  // the deliberately slow batch
-    EXPECT_LE(std::llabs(order[pos] - static_cast<int64_t>(pos)), in_flight)
-        << "index " << order[pos] << " at position " << pos;
-  }
+  // Every index exactly once.
+  std::set<int64_t> seen(order.begin(), order.end());
+  EXPECT_EQ(order.size(), static_cast<size_t>(n));
+  EXPECT_EQ(seen.size(), static_cast<size_t>(n));
+  // The window the loader controls: at no instant more than in_flight
+  // indices claimed and not yet yielded.
+  const LoaderStats stats = loader.stats_snapshot();
+  EXPECT_GE(stats.max_in_flight_seen, 1);
+  EXPECT_LE(stats.max_in_flight_seen, in_flight);
+  expect_none_early_beyond_window(order, in_flight);
   // The slow batch still arrives, late.
   auto it = std::find(order.begin(), order.end(), 10);
   ASSERT_NE(it, order.end());
@@ -331,15 +345,10 @@ TEST_F(LoaderFault, WorkerKillMidRunStillDeliversExactlyOnce) {
   EXPECT_EQ(s.worker_deaths, 1);
   EXPECT_GE(s.timeouts, 1);
   EXPECT_GE(s.requeues, 1);
-  // Only batches that went through a timeout-requeue may exceed the
-  // prefetch-window reordering bound.
-  int64_t displaced = 0;
-  for (size_t pos = 0; pos < order.size(); ++pos) {
-    if (std::llabs(order[pos] - static_cast<int64_t>(pos)) > in_flight) {
-      ++displaced;
-    }
-  }
-  EXPECT_LE(displaced, s.timeouts);
+  // The dead worker's batch stays counted in flight until it is yielded,
+  // so the window holds through the reclaim.
+  EXPECT_LE(s.max_in_flight_seen, in_flight);
+  expect_none_early_beyond_window(order, in_flight);
 }
 
 TEST_F(LoaderFault, HungPreparationIsRequeuedAndDuplicateDropped) {

@@ -9,9 +9,14 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstring>
+#include <functional>
+#include <future>
 #include <mutex>
 #include <numeric>
+#include <set>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -232,6 +237,158 @@ TEST(ParallelConfig, SetNumThreadsOverridesAndClears) {
   EXPECT_EQ(num_threads(), 1);
   set_num_threads(0);  // back to env/hardware default
   EXPECT_GE(num_threads(), 1);
+}
+
+// ---------------------------------------------------------------------------
+// Per-thread intra-op budgets and claimed-chunk completion.
+// ---------------------------------------------------------------------------
+
+TEST(IntraOpBudget, CapsNumThreadsNestsByMinimumAndRestores) {
+  ThreadGuard tg(4);
+  EXPECT_EQ(num_threads(), 4);
+  {
+    IntraOpBudget outer(2);
+    EXPECT_EQ(num_threads(), 2);
+    {
+      IntraOpBudget looser(3);  // nesting takes the minimum
+      EXPECT_EQ(num_threads(), 2);
+      IntraOpBudget tighter(1);
+      EXPECT_EQ(num_threads(), 1);
+    }
+    EXPECT_EQ(num_threads(), 2);
+    set_num_threads(1);  // a global count below the budget wins
+    EXPECT_EQ(num_threads(), 1);
+    set_num_threads(4);
+    // The budget is per thread: another thread sees the global count.
+    int other = 0;
+    std::thread([&] { other = num_threads(); }).join();
+    EXPECT_EQ(other, 4);
+  }
+  EXPECT_EQ(num_threads(), 4);
+  IntraOpBudget clamped(0);
+  EXPECT_EQ(num_threads(), 1);
+}
+
+TEST(IntraOpBudget, LimitsDistinctThreadsRunningChunks) {
+  ThreadGuard tg(4);
+  for (int budget : {1, 2}) {
+    IntraOpBudget b(budget);
+    EXPECT_EQ(num_threads(), budget);
+    std::mutex mu;
+    std::set<std::thread::id> ids;
+    std::vector<std::atomic<int>> hits(64);
+    parallel_for(0, 64, 1, [&](int64_t lo, int64_t hi) {
+      {
+        std::lock_guard<std::mutex> lock(mu);
+        ids.insert(std::this_thread::get_id());
+      }
+      for (int64_t i = lo; i < hi; ++i) hits[i].fetch_add(1);
+      // Long enough that idle pool workers would join if they could.
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    });
+    for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+    EXPECT_GE(ids.size(), 1u);
+    EXPECT_LE(ids.size(), static_cast<size_t>(budget));
+    EXPECT_TRUE(ids.count(std::this_thread::get_id()));
+  }
+}
+
+namespace {
+/// A one-shot gate with a bounded wait, so a regression fails a test
+/// instead of hanging it.
+class Gate {
+ public:
+  void open() {
+    std::lock_guard<std::mutex> lock(mu_);
+    open_ = true;
+    cv_.notify_all();
+  }
+  void wait(std::chrono::seconds limit) {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait_for(lock, limit, [&] { return open_; });
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool open_ = false;
+};
+
+/// Runs a parallel_for of `threads` chunks at `threads` threads in which
+/// every chunk waits until all `threads` chunks have started: it returns
+/// only once the caller and threads - 1 pool workers each hold one chunk.
+void run_all_workers_region(int threads, const std::function<void()>& hold) {
+  std::atomic<int> entered{0};
+  parallel_for(0, threads, 1, [&](int64_t, int64_t) {
+    entered.fetch_add(1);
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (entered.load() < threads &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+    hold();
+  });
+  EXPECT_EQ(entered.load(), threads);
+}
+}  // namespace
+
+TEST(ParallelFor, CallerDoesNotWaitForUnstartedHelpers) {
+  // More threads than any other test asks for, so the region below
+  // occupies every pool worker.
+  constexpr int kThreads = 16;
+  ThreadGuard tg(kThreads);
+  Gate release;
+  std::atomic<bool> workers_blocked{false};
+  std::thread blocker([&] {
+    run_all_workers_region(kThreads, [&] {
+      workers_blocked.store(true);
+      release.wait(std::chrono::seconds(60));
+    });
+  });
+  while (!workers_blocked.load()) std::this_thread::yield();
+
+  // Every pool worker is parked, so the helper this region submits cannot
+  // start; the caller must run every chunk and return anyway.
+  constexpr int64_t kChunks = 8;
+  std::vector<std::atomic<int>> hits(kChunks);
+  std::vector<std::thread::id> ran_on(kChunks);
+  std::thread::id caller_id;
+  std::promise<void> returned_p;
+  std::future<void> returned = returned_p.get_future();
+  std::thread caller([&] {
+    caller_id = std::this_thread::get_id();
+    IntraOpBudget budget(2);
+    parallel_for(0, kChunks, 1, [&](int64_t lo, int64_t hi) {
+      for (int64_t c = lo; c < hi; ++c) {
+        hits[c].fetch_add(1);
+        ran_on[c] = std::this_thread::get_id();
+      }
+    });
+    returned_p.set_value();
+  });
+  const bool returned_while_blocked =
+      returned.wait_for(std::chrono::seconds(20)) == std::future_status::ready;
+  release.open();
+  caller.join();
+  blocker.join();
+  EXPECT_TRUE(returned_while_blocked)
+      << "parallel_for waited for a helper that had not started";
+
+  // The stale helper has run by the time every worker holds a chunk of a
+  // later region (the pool queue is FIFO); it must have claimed nothing.
+  run_all_workers_region(kThreads, [] {});
+  for (int64_t c = 0; c < kChunks; ++c) {
+    EXPECT_EQ(hits[c].load(), 1) << "chunk " << c;
+    EXPECT_EQ(ran_on[c], caller_id) << "chunk " << c;
+  }
+  std::atomic<int64_t> sum{0};
+  parallel_for(0, 1000, 1, [&](int64_t b, int64_t e) {
+    int64_t local = 0;
+    for (int64_t i = b; i < e; ++i) local += i;
+    sum.fetch_add(local);
+  });
+  EXPECT_EQ(sum.load(), 1000 * 999 / 2);
 }
 
 // ---------------------------------------------------------------------------

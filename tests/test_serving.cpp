@@ -3,8 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstring>
 #include <set>
+#include <stdexcept>
+#include <string>
+#include <thread>
 
 #include "common/rng.h"
 #include "core/session.h"
@@ -189,6 +194,70 @@ TEST(FeatureCache, HitAndMissCounters) {
   EXPECT_TRUE(cache.get(7).has_value());
   EXPECT_EQ(cache.hits(), 2);
   EXPECT_EQ(cache.misses(), 1);
+}
+
+// Concurrent misses of one key run one computation; the rest wait on it and
+// count as hits. Holds for any interleaving: a late caller finds the entry.
+TEST(FeatureCache, SingleFlightComputesEachKeyOnce) {
+  data::SyntheticProteinDataset ds(tiny_data());
+  FeatureCache cache({.max_bytes = 1ll << 30, .enabled = true});
+  constexpr int kCallers = 6;
+  std::atomic<int> computes{0};
+  std::vector<data::Batch> got(kCallers);
+  std::vector<char> hit(kCallers, 0);
+  std::vector<std::thread> callers;
+  for (int i = 0; i < kCallers; ++i) {
+    callers.emplace_back([&, i] {
+      bool h = false;
+      got[i] = cache.get_or_compute(
+          7,
+          [&] {
+            computes.fetch_add(1);
+            std::this_thread::sleep_for(std::chrono::milliseconds(50));
+            return make_cached_batch(ds, 0, 8);
+          },
+          &h);
+      hit[i] = h;
+    });
+  }
+  for (auto& t : callers) t.join();
+  EXPECT_EQ(computes.load(), 1);
+  EXPECT_EQ(cache.misses(), 1);
+  EXPECT_EQ(cache.hits(), kCallers - 1);
+  EXPECT_EQ(std::count(hit.begin(), hit.end(), 1), kCallers - 1);
+  for (const auto& b : got) {
+    EXPECT_EQ(b.msa_feat.data(), got[0].msa_feat.data());  // one result
+  }
+  EXPECT_EQ(cache.entries(), 1);
+}
+
+// A failed computation reaches every caller of that key, caches nothing and
+// leaves the key computable.
+TEST(FeatureCache, SingleFlightErrorReachesEveryWaiter) {
+  data::SyntheticProteinDataset ds(tiny_data());
+  FeatureCache cache({.max_bytes = 1ll << 30, .enabled = true});
+  constexpr int kCallers = 6;
+  std::atomic<int> threw{0};
+  std::vector<std::thread> callers;
+  for (int i = 0; i < kCallers; ++i) {
+    callers.emplace_back([&] {
+      try {
+        cache.get_or_compute(7, []() -> data::Batch {
+          std::this_thread::sleep_for(std::chrono::milliseconds(50));
+          throw std::runtime_error("featurize failed");
+        });
+      } catch (const std::runtime_error& e) {
+        if (std::string(e.what()) == "featurize failed") threw.fetch_add(1);
+      }
+    });
+  }
+  for (auto& t : callers) t.join();
+  EXPECT_EQ(threw.load(), kCallers);
+  EXPECT_EQ(cache.entries(), 0);
+  bool h = true;
+  cache.get_or_compute(7, [&] { return make_cached_batch(ds, 0, 8); }, &h);
+  EXPECT_FALSE(h);
+  EXPECT_EQ(cache.entries(), 1);
 }
 
 // ---- Bucket scheduler ------------------------------------------------------
