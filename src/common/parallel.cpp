@@ -80,6 +80,10 @@ IntraOpBudget::IntraOpBudget(int n) : prev_(t_budget) {
 
 IntraOpBudget::~IntraOpBudget() { t_budget = prev_; }
 
+int IntraOpBudget::rank_share(int world) {
+  return std::max(1, num_threads() / std::max(1, world));
+}
+
 namespace detail {
 
 int64_t chunk_count(int64_t n, int64_t grain) {

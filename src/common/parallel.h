@@ -62,6 +62,13 @@ class IntraOpBudget {
   IntraOpBudget(const IntraOpBudget&) = delete;
   IntraOpBudget& operator=(const IntraOpBudget&) = delete;
 
+  /// The budget each of `world` rank threads holds: an equal share,
+  /// max(1, num_threads() / world), of the calling thread's count, so the
+  /// ranks together fork about num_threads() threads rather than world
+  /// times that. Call it on the thread that starts the ranks (a new thread
+  /// holds no budget of its own).
+  static int rank_share(int world);
+
  private:
   int prev_;
 };

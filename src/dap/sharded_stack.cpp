@@ -454,7 +454,7 @@ std::pair<Tensor, Tensor> ShardedEvoformer::forward_sharded(
     // threads (the ranks themselves are the rest of the parallelism).
     // Kernel results per row are independent of the thread count, so the
     // share changes scheduling, never bits.
-    const int budget = std::max(1, num_threads() / world_);
+    const int budget = IntraOpBudget::rank_share(world_);
     std::vector<std::thread> threads;
     threads.reserve(world_);
     for (int rank = 0; rank < world_; ++rank) {

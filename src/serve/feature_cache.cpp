@@ -36,19 +36,30 @@ int64_t FeatureCache::batch_bytes(const data::Batch& batch) {
          bytes(batch.residue_mask);
 }
 
+void FeatureCache::count_locked(bool hit) {
+  if (hit) {
+    ++hits_;
+    metrics().hits.add();
+  } else {
+    ++misses_;
+    metrics().misses.add();
+  }
+}
+
+std::optional<data::Batch> FeatureCache::lookup_locked(uint64_t key) {
+  auto it = index_.find(key);
+  if (it == index_.end()) return std::nullopt;
+  lru_.splice(lru_.begin(), lru_, it->second);  // promote to MRU
+  count_locked(/*hit=*/true);
+  return it->second->batch;  // tensors share buffers: cheap copy
+}
+
 std::optional<data::Batch> FeatureCache::get(uint64_t key) {
   if (!config_.enabled) return std::nullopt;
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = index_.find(key);
-  if (it == index_.end()) {
-    ++misses_;
-    metrics().misses.add();
-    return std::nullopt;
-  }
-  lru_.splice(lru_.begin(), lru_, it->second);  // promote to MRU
-  ++hits_;
-  metrics().hits.add();
-  return it->second->batch;  // tensors share buffers: cheap copy
+  std::optional<data::Batch> cached = lookup_locked(key);
+  if (!cached) count_locked(/*hit=*/false);
+  return cached;
 }
 
 void FeatureCache::put(uint64_t key, const data::Batch& batch) {
@@ -76,23 +87,18 @@ data::Batch FeatureCache::get_or_compute(
   std::promise<data::Batch> promise;
   {
     std::unique_lock<std::mutex> lock(mu_);
-    if (auto it = index_.find(key); it != index_.end()) {
-      lru_.splice(lru_.begin(), lru_, it->second);  // promote to MRU
-      ++hits_;
-      metrics().hits.add();
+    if (std::optional<data::Batch> cached = lookup_locked(key)) {
       if (hit) *hit = true;
-      return it->second->batch;
+      return *std::move(cached);
     }
     if (auto it = in_flight_.find(key); it != in_flight_.end()) {
-      ++hits_;
-      metrics().hits.add();
+      count_locked(/*hit=*/true);
       if (hit) *hit = true;
       std::shared_future<data::Batch> pending = it->second;
       lock.unlock();
       return pending.get();  // rethrows the computing caller's error
     }
-    ++misses_;
-    metrics().misses.add();
+    count_locked(/*hit=*/false);
     in_flight_.emplace(key, promise.get_future().share());
   }
   try {

@@ -81,6 +81,10 @@ class FeatureCache {
     int64_t bytes;
   };
 
+  /// The one hit path: a cached entry is promoted to MRU and counted as
+  /// a hit; an absent key returns nullopt and counts nothing.
+  std::optional<data::Batch> lookup_locked(uint64_t key);
+  void count_locked(bool hit);
   void put_locked(uint64_t key, const data::Batch& batch, int64_t cost);
   void evict_to_budget_locked();
 

@@ -304,10 +304,9 @@ StepResult DataParallelTrainer::train_step(
   if (world_size_ == 1) {
     rank_fn(0);  // one rank keeps the caller's full intra-op count
   } else {
-    // Each rank thread gets an equal share of the intra-op threads, so the
-    // ranks together fork about num_threads() threads rather than world
-    // times that. Kernels are bitwise identical at any thread count.
-    const int budget = std::max(1, num_threads() / world_size_);
+    // Each rank thread gets an equal share of the intra-op threads.
+    // Kernels are bitwise identical at any thread count.
+    const int budget = IntraOpBudget::rank_share(world_size_);
     std::vector<std::thread> threads;
     for (int r = 0; r < world_size_; ++r) {
       threads.emplace_back([&rank_fn, budget, r] {

@@ -269,6 +269,18 @@ TEST(IntraOpBudget, CapsNumThreadsNestsByMinimumAndRestores) {
   EXPECT_EQ(num_threads(), 1);
 }
 
+TEST(IntraOpBudget, RankShareSplitsTheCallersCount) {
+  ThreadGuard tg(4);
+  EXPECT_EQ(IntraOpBudget::rank_share(1), 4);
+  EXPECT_EQ(IntraOpBudget::rank_share(2), 2);
+  EXPECT_EQ(IntraOpBudget::rank_share(3), 1);
+  EXPECT_EQ(IntraOpBudget::rank_share(4), 1);
+  EXPECT_EQ(IntraOpBudget::rank_share(8), 1);  // never below one thread
+  IntraOpBudget caller(2);  // the share is of the caller's own budget
+  EXPECT_EQ(IntraOpBudget::rank_share(1), 2);
+  EXPECT_EQ(IntraOpBudget::rank_share(2), 1);
+}
+
 TEST(IntraOpBudget, LimitsDistinctThreadsRunningChunks) {
   ThreadGuard tg(4);
   for (int budget : {1, 2}) {
