@@ -305,7 +305,7 @@ void Communicator::AsyncHandle::wait() {
   }
   // Completed: drop the table entry. Ranks that have not waited yet keep
   // the slot alive through their handle's shared_ptr; re-erasing is a
-  // no-op. Sequence numbers only restart at recover_async(), which also
+  // no-op. Sequence numbers only restart at recover(), which also
   // clears the table, so a stale erase can never hit a fresh slot.
   comm_->slots_.erase(slot_->seq);
 }
@@ -363,7 +363,7 @@ void Communicator::comm_thread_main() {
   for (;;) {
     async_cv_.wait(lock, [&] {
       if (shutdown_) return true;
-      if (aborted_) return false;  // idle until recover_async()
+      if (aborted_) return false;  // idle until recover()
       for (const auto& [seq, slot] : slots_) {
         if (slot->state == AsyncSlot::State::kReady) return true;
       }

@@ -143,11 +143,6 @@ class Communicator {
   /// after joining the step's threads).
   void recover();
 
-  /// Historical names for abort()/recover(), kept because the original
-  /// implementation only covered the async path.
-  void abort_async(const std::string& reason) { abort(reason); }
-  void recover_async() { recover(); }
-
   /// True while abort() is in effect.
   bool async_aborted() const;
 

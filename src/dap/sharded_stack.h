@@ -2,13 +2,12 @@
 // across in-process ranks with resident shards and communication/compute
 // overlap (DESIGN.md §14; §2.3 of the paper).
 //
-// Where dap/sharded.h proves per-module equivalence with one-shot shard /
-// unshard round trips, ShardedEvoformer keeps BlockShards *resident*
-// across every block of the stack: the MSA representation stays sharded
-// over its sequence axis S and the pair representation over its first
-// residue axis R for the whole trunk, resharding only at the row<->column
-// attention boundaries (MSA column attention, triangle attention around
-// the ending node) via the chunked non-blocking transpose below.
+// ShardedEvoformer keeps each rank's shards *resident* across every block
+// of the stack: the MSA representation stays sharded over its sequence
+// axis S and the pair representation over its first residue axis R for
+// the whole trunk, resharding only at the row<->column attention
+// boundaries (MSA column attention, triangle attention around the ending
+// node) via the chunked non-blocking transpose below.
 //
 // Bitwise contract: outputs AND gradients are bit-identical to the
 // unsharded model at any world size in {1,2,4}, any thread count, and any
@@ -44,8 +43,8 @@ namespace sf::dap {
 /// exchange is split into `num_chunks` independent async all-to-alls
 /// along the output-column axis so the exchange of chunk t+1 overlaps
 /// whatever the caller computes on chunk t. Divisible splits only
-/// (A % n == 0, B % n == 0); the ragged one-shot variants live in
-/// dap/sharded.h. Pure data movement: reassembly is bit-exact.
+/// (A % n == 0, B % n == 0; anything else throws). Pure data movement:
+/// reassembly is bit-exact.
 class AsyncTransposer {
  public:
   AsyncTransposer(Communicator& comm, int rank, int64_t full_a,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <sstream>
 
 #include "common/error.h"
@@ -234,19 +235,15 @@ Batch PrefetchLoader::next() {
   }
   if (worker_error_) std::rethrow_exception(worker_error_);
 
-  Batch batch;
-  if (config_.policy == YieldPolicy::kInOrder) {
-    auto it = ready_.find(next_in_order_);
-    batch = std::move(it->second);
-    ready_.erase(it);
-    ++next_in_order_;
-  } else {
-    // Smallest-index batch that is already done (std::map iteration order
-    // = priority queue by index).
-    auto it = ready_.begin();
-    batch = std::move(it->second);
-    ready_.erase(it);
-  }
+  // In order: exactly the next index. Ready-first: the smallest-index
+  // batch that is already done (std::map iteration order = priority queue
+  // by index).
+  auto it = config_.policy == YieldPolicy::kInOrder
+                ? ready_.find(next_in_order_++)
+                : ready_.begin();
+  stats_.ready_overtakes += std::distance(ready_.begin(), it);
+  Batch batch = std::move(it->second);
+  ready_.erase(it);
   ++yielded_;
   --in_flight_;
   stats_.consumer_wait_seconds += wait_timer.elapsed();

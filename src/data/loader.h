@@ -81,6 +81,9 @@ struct LoaderStats {
   /// Most indices ever claimed and not yet yielded at one instant (never
   /// exceeds LoaderConfig::max_in_flight).
   int64_t max_in_flight_seen = 0;
+  /// Ready batches a yield passed over for a larger index. Both policies
+  /// keep this at 0: a batch is overtaken only while it is in flight.
+  int64_t ready_overtakes = 0;
 };
 
 /// Prefetching loader over an index range [0, num_batches).

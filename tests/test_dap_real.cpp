@@ -9,6 +9,7 @@
 #include <cmath>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/fault.h"
@@ -249,6 +250,78 @@ TEST(DapReal, OverlapAndCommStatsAreSane) {
   EXPECT_GT(cs.collectives, 0u);
   EXPECT_GT(cs.bytes_exchanged, 0u);  // the chunked transposes
   EXPECT_GT(cs.bytes_gathered, 0u);   // bias / operand / partial gathers
+}
+
+TEST(DapReal, CommVolumeGrowsWithWorldAndRepeatsExactly) {
+  // §2.3: a higher DAP degree moves more bytes for the same batch, and
+  // the volume depends on shapes alone, so identical forwards account
+  // identical collectives and bytes.
+  const auto cfg = dap_config();
+  data::SyntheticProteinDataset ds(dap_data());
+  const auto batch = ds.prepare_batch(0);
+  auto two_forwards = [&](int world) {
+    model::MiniAlphaFold net(cfg, 11);
+    dap::ShardedEvoformer exec(net, world);
+    net.set_trunk_executor(&exec);
+    net.forward(batch, 1, false);
+    const auto first = exec.comm_stats();
+    exec.reset_stats();
+    net.forward(batch, 1, false);
+    const auto second = exec.comm_stats();
+    net.set_trunk_executor(nullptr);
+    return std::make_pair(first, second);
+  };
+  const auto [w2, w2_again] = two_forwards(2);
+  const auto [w4, w4_again] = two_forwards(4);
+  EXPECT_GT(w2.total_bytes(), 0u);
+  EXPECT_GT(w4.total_bytes(), w2.total_bytes());
+  for (const auto& [a, b] : {std::make_pair(w2, w2_again),
+                             std::make_pair(w4, w4_again)}) {
+    EXPECT_EQ(a.collectives, b.collectives);
+    EXPECT_EQ(a.bytes_gathered, b.bytes_gathered);
+    EXPECT_EQ(a.bytes_reduced, b.bytes_reduced);
+    EXPECT_EQ(a.bytes_exchanged, b.bytes_exchanged);
+    EXPECT_EQ(a.bytes_scattered, b.bytes_scattered);
+  }
+}
+
+/// Expects `fn` to throw an sf::Error whose message contains `check`, so
+/// the test pins the up-front check and not a later failure the same bad
+/// input would also cause.
+template <typename Fn>
+void expect_rejected(const Fn& fn, const std::string& check) {
+  try {
+    fn();
+    ADD_FAILURE() << "not rejected: " << check;
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find(check), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(DapReal, RejectsSplitsTheWorldDoesNotDivide) {
+  // Ragged shards have no implementation: the transposer and the stack
+  // must refuse them up front. The divisible controls prove the throw
+  // comes from the split, not from the setup.
+  dap::Communicator comm(4);
+  const char* axes = "AsyncTransposer needs divisible axes";
+  expect_rejected([&] { dap::AsyncTransposer(comm, 0, 6, 8, 2, 1, 0); }, axes);
+  expect_rejected([&] { dap::AsyncTransposer(comm, 0, 8, 6, 2, 1, 0); }, axes);
+  EXPECT_NO_THROW(dap::AsyncTransposer(comm, 0, 8, 8, 2, 1, 0));
+
+  auto cfg = dap_config();
+  auto dc = dap_data();
+  cfg.crop_len = dc.crop_len = 6;  // 6 % 4 != 0, 6 % 2 == 0
+  data::SyntheticProteinDataset ds(dc);
+  const auto batch = ds.prepare_batch(0);
+  model::MiniAlphaFold net(cfg, 11);
+  dap::ShardedEvoformer four(net, 4), two(net, 2);
+  net.set_trunk_executor(&four);
+  expect_rejected([&] { net.forward(batch, 1, false); },
+                  "R divisible by world size");
+  net.set_trunk_executor(&two);
+  EXPECT_NO_THROW(net.forward(batch, 1, false));
+  net.set_trunk_executor(nullptr);
 }
 
 TEST(DapReal, RankKillMidExchangeFailsFastAndRecovers) {

@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "dap/sharded.h"
 #include "dap/sharded_stack.h"
 #include "data/loader.h"
 #include "graph/executor.h"
@@ -411,7 +410,7 @@ TEST(BucketStoreFuzz, ReBucketingIsDeterministicAcrossWorldSizes) {
   }
 }
 
-// ---- DAP shard / transpose round-trip fuzz ---------------------------
+// ---- DAP chunked transpose round-trip fuzz ----------------------------
 
 namespace {
 
@@ -429,68 +428,18 @@ void fill_unique(Tensor& t, int64_t salt) {
   }
 }
 
-}  // namespace
-
-TEST(DapShardFuzz, RaggedShardAndTransposeRoundTripsAreBitExact) {
-  Rng rng(314159);
-  for (int iter = 0; iter < 30; ++iter) {
-    const int world = 1 + static_cast<int>(rng.uniform_int(4));
-    // Axes deliberately include non-divisible splits (ragged shards).
-    const int64_t s = world + static_cast<int64_t>(rng.uniform_int(9));
-    const int64_t r = world + static_cast<int64_t>(rng.uniform_int(9));
-    const int64_t c = 1 + static_cast<int64_t>(rng.uniform_int(5));
-    Tensor full({s, r, c});
-    fill_unique(full, iter);
-
-    dap::Communicator comm(world);
-    std::vector<Tensor> gathered(world), transposed(world), back(world);
-    run_ranks(world, [&](int rank) {
-      Tensor shard = dap::shard_axis0(full, rank, world);
-      gathered[rank] = dap::unshard_axis0(comm, rank, shard, s);
-      transposed[rank] = dap::transpose_shard(comm, rank, shard, s, r, c);
-      back[rank] =
-          dap::untranspose_shard(comm, rank, transposed[rank], s, r, c);
-    });
-
-    for (int rank = 0; rank < world; ++rank) {
-      const std::string at = "iter " + std::to_string(iter) + " world " +
-                             std::to_string(world) + " rank " +
-                             std::to_string(rank);
-      // unshard(shard(x)) == x on every rank.
-      ASSERT_EQ(gathered[rank].numel(), full.numel()) << at;
-      EXPECT_EQ(std::memcmp(gathered[rank].data(), full.data(),
-                            full.numel() * sizeof(float)),
-                0)
-          << at;
-      // transpose_shard places exactly this rank's B-columns, once each:
-      // out[a][jl][cc] == full[a][col0 + jl][cc].
-      const auto cr = dap::shard_range(r, rank, world);
-      ASSERT_EQ(transposed[rank].numel(), s * cr.extent() * c) << at;
-      bool cols_ok = true;
-      for (int64_t a = 0; a < s && cols_ok; ++a) {
-        for (int64_t jl = 0; jl < cr.extent() && cols_ok; ++jl) {
-          for (int64_t cc = 0; cc < c; ++cc) {
-            if (std::memcmp(
-                    transposed[rank].data() + (a * cr.extent() + jl) * c + cc,
-                    full.data() + (a * r + cr.begin + jl) * c + cc,
-                    sizeof(float)) != 0) {
-              cols_ok = false;
-              break;
-            }
-          }
-        }
-      }
-      EXPECT_TRUE(cols_ok) << at << ": transposed shard misplaced a column";
-      // untranspose(transpose(x)) == x, bit for bit.
-      Tensor expect_shard = dap::shard_axis0(full, rank, world);
-      ASSERT_EQ(back[rank].numel(), expect_shard.numel()) << at;
-      EXPECT_EQ(std::memcmp(back[rank].data(), expect_shard.data(),
-                            expect_shard.numel() * sizeof(float)),
-                0)
-          << at;
-    }
-  }
+/// Rows [begin, begin + count) of `full` along its leading axis.
+Tensor leading_rows(const Tensor& full, int64_t begin, int64_t count) {
+  Shape shape = full.shape();
+  const int64_t row = full.numel() / shape[0];
+  shape[0] = count;
+  Tensor out(shape);
+  std::memcpy(out.data(), full.data() + begin * row,
+              count * row * sizeof(float));
+  return out;
 }
+
+}  // namespace
 
 TEST(DapShardFuzz, AsyncTransposerChunksCoverExactlyOnceAndRoundTrip) {
   Rng rng(2718);
@@ -508,7 +457,7 @@ TEST(DapShardFuzz, AsyncTransposerChunksCoverExactlyOnceAndRoundTrip) {
     std::vector<std::vector<Tensor>> chunks(world);
     std::vector<Tensor> round_trip(world);
     run_ranks(world, [&](int rank) {
-      Tensor shard = dap::shard_axis0(full, rank, world);
+      Tensor shard = leading_rows(full, rank * la, la);
       dap::AsyncTransposer tx(comm, rank, a, b, c, nchunks, 7000);
       tx.launch(shard);
       for (int64_t t = 0; t < tx.num_chunks(); ++t) {
@@ -550,7 +499,7 @@ TEST(DapShardFuzz, AsyncTransposerChunksCoverExactlyOnceAndRoundTrip) {
                               << " not placed exactly once";
       }
       // Reverse exchange restores the original A-shard bit for bit.
-      Tensor expect_shard = dap::shard_axis0(full, rank, world);
+      Tensor expect_shard = leading_rows(full, rank * la, la);
       EXPECT_EQ(std::memcmp(round_trip[rank].data(), expect_shard.data(),
                             expect_shard.numel() * sizeof(float)),
                 0)

@@ -35,7 +35,8 @@ PrefetchLoader::BatchFn delayed_batches(std::vector<int> delays_ms) {
 // batches are unyielded, so at least i - in_flight + 1 batches yield before
 // it. How late a batch yields has no such bound: a descheduled worker turns
 // a 0-delay batch into a slow one, and ready-first lets later batches
-// overtake it.
+// overtake it. The late side the loader does control is that it never
+// passes over a batch that is ready (LoaderStats::ready_overtakes == 0).
 void expect_none_early_beyond_window(const std::vector<int64_t>& order,
                                      int in_flight) {
   for (size_t pos = 0; pos < order.size(); ++pos) {
@@ -98,6 +99,7 @@ TEST(Loader, ReadyFirstReorderingBoundedByWindow) {
   EXPECT_GE(stats.max_in_flight_seen, 1);
   EXPECT_LE(stats.max_in_flight_seen, in_flight);
   expect_none_early_beyond_window(order, in_flight);
+  EXPECT_EQ(stats.ready_overtakes, 0);
   // The slow batch still arrives, late.
   auto it = std::find(order.begin(), order.end(), 10);
   ASSERT_NE(it, order.end());
@@ -323,7 +325,7 @@ TEST_F(LoaderFault, ExhaustedRetriesSurfaceFirstErrorWithBatchIndex) {
 TEST_F(LoaderFault, WorkerKillMidRunStillDeliversExactlyOnce) {
   // Acceptance scenario: a worker thread "crashes" mid-run; its claimed
   // batch is reclaimed at the deadline and every batch is still delivered
-  // exactly once, with reordering bounded for all non-reclaimed batches.
+  // exactly once, with reordering bounded on both sides by the loader.
   const int64_t n = 40;
   fault::SiteConfig fc;
   fc.kill = true;
@@ -345,15 +347,14 @@ TEST_F(LoaderFault, WorkerKillMidRunStillDeliversExactlyOnce) {
   EXPECT_EQ(s.worker_deaths, 1);
   EXPECT_GE(s.timeouts, 1);
   EXPECT_GE(s.requeues, 1);
-  // Only batches that went through a timeout-requeue may exceed the
-  // prefetch-window reordering bound.
-  int64_t displaced = 0;
-  for (size_t pos = 0; pos < order.size(); ++pos) {
-    if (std::llabs(order[pos] - static_cast<int64_t>(pos)) > in_flight) {
-      ++displaced;
-    }
-  }
-  EXPECT_LE(displaced, s.timeouts);
+  // Late side: a batch is overtaken only while it is in flight (being
+  // prepared, or reclaimed and requeued), never once it is ready. How long
+  // it stays in flight is up to the host's scheduler, so the bound is on
+  // what the loader decides, not on positions.
+  EXPECT_EQ(s.ready_overtakes, 0);
+  // Early side: the claim window holds through the kill and the requeue.
+  EXPECT_LE(s.max_in_flight_seen, in_flight);
+  expect_none_early_beyond_window(order, in_flight);
 }
 
 TEST_F(LoaderFault, HungPreparationIsRequeuedAndDuplicateDropped) {
