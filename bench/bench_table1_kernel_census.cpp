@@ -4,78 +4,16 @@
 // of the paper-scale architecture plus the unfused optimizer's
 // per-parameter-tensor kernel storm.
 //
-// The measured section at the bottom no longer reads the executor's
-// bespoke ExecStats accumulator: a real (mini-scale) op stream is run
-// through the eager executor with tracing on, and the census is rebuilt
-// from the recorded trace events (stats_from_trace) — the same substrate
-// Fig. 8/Fig. 9 traces come from. Set SCALEFOLD_TRACE_FILE to also dump
-// the raw trace.json of that execution.
+// The measured census of the real (CPU-scale) step comes from the traced
+// step accounting:
+//   python3 perfbench/run.py --workload train --seed 1 --trace 1
+// prints its `step accounting` line and writes the step's Chrome trace to
+// .bench_build/results/train-seed1-trace1/trace.json.
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <string>
-#include <vector>
 
-#include "common/rng.h"
-#include "graph/executor.h"
-#include "kernels/gemm.h"
-#include "kernels/layernorm.h"
-#include "obs/trace.h"
 #include "sim/workload.h"
 
 using namespace sf::sim;
-
-namespace {
-
-/// Mini op stream shaped like one Evoformer block's census: the per-block
-/// template counts, each op doing real work of its category (small GEMM /
-/// fused LayerNorm / buffer copy).
-struct MiniBlock {
-  std::vector<float> a, b, c, gamma, beta, buf, buf2;
-  sf::graph::Program program;
-
-  MiniBlock() {
-    using sf::graph::OpKind;
-    const int64_t n = 64, cols = 64, rows = 64;
-    sf::Rng rng(11);
-    a.resize(n * n);
-    b.resize(n * n);
-    c.resize(n * n);
-    sf::fill_normal(rng, a.data(), a.size(), 0.0f, 1.0f);
-    sf::fill_normal(rng, b.data(), b.size(), 0.0f, 1.0f);
-    gamma.assign(cols, 1.0f);
-    beta.assign(cols, 0.0f);
-    buf.resize(rows * cols);
-    sf::fill_normal(rng, buf.data(), buf.size(), 0.0f, 1.0f);
-    buf2.resize(rows * cols);
-
-    const KernelCensus block = census_evoformer_block();
-    for (int64_t i = 0; i < block.math_calls; ++i) {
-      program.add_op("gemm" + std::to_string(i), OpKind::kMath,
-                     2ull * n * n * n, 3ull * n * n * 4, [this, n] {
-                       sf::kernels::gemm(a.data(), b.data(), c.data(), n, n,
-                                         n);
-                     });
-    }
-    for (int64_t i = 0; i < block.mem_calls; ++i) {
-      program.add_op("layernorm" + std::to_string(i), OpKind::kMemoryBound,
-                     0, 2ull * rows * cols * 4, [this, rows, cols] {
-                       sf::kernels::layernorm_forward_fused(
-                           buf.data(), gamma.data(), beta.data(),
-                           buf2.data(), rows, cols, 1e-5f, nullptr);
-                     });
-    }
-    for (int64_t i = 0; i < block.memop_calls; ++i) {
-      program.add_op("copy" + std::to_string(i), OpKind::kMemOp, 0,
-                     2ull * rows * cols * 4, [this] {
-                       std::memcpy(buf2.data(), buf.data(),
-                                   buf.size() * sizeof(float));
-                     });
-    }
-  }
-};
-
-}  // namespace
 
 int main() {
   CensusBreakdown c = build_census();
@@ -120,45 +58,5 @@ int main() {
   row("outer product mean", census_outer_product_mean());
   row("one full Evoformer block", census_evoformer_block());
 
-  // ---- Measured: census rebuilt from trace events ----------------------
-  // One Evoformer block's worth of real (mini) kernels through the eager
-  // executor; every dispatch and kernel body is a trace span, and the
-  // census below is aggregated from those spans alone.
-  sf::obs::set_trace_enabled(true);
-  sf::obs::reset();
-  MiniBlock mini;
-  sf::graph::Executor exec;
-  exec.run_eager(mini.program);
-  const std::vector<sf::obs::TraceEvent> events = sf::obs::snapshot();
-  const sf::graph::ExecStats traced = sf::graph::stats_from_trace(events);
-  sf::obs::set_trace_enabled(false);
-
-  const double total_s = traced.total_seconds();
-  std::printf("\n--- Measured census from trace events (one mini Evoformer "
-              "block, eager) ---\n");
-  std::printf("%-18s | %15s | %10s\n", "Kernel Type", "Runtime(%) meas",
-              "#Spans");
-  auto traced_row = [&](const char* name, sf::graph::OpKind kind) {
-    auto it = traced.by_kind.find(kind);
-    const double secs = it == traced.by_kind.end() ? 0.0 : it->second.seconds;
-    const uint64_t calls = it == traced.by_kind.end() ? 0 : it->second.calls;
-    std::printf("%-18s | %15.2f | %10llu\n", name, 100.0 * secs / total_s,
-                static_cast<unsigned long long>(calls));
-  };
-  std::printf("%-18s | %15.2f | %10llu\n", "CPU Overhead",
-              100.0 * traced.dispatch_seconds / total_s,
-              static_cast<unsigned long long>(traced.total_launches));
-  traced_row("Math-bounded", sf::graph::OpKind::kMath);
-  traced_row("Memory-bounded", sf::graph::OpKind::kMemoryBound);
-  traced_row("Memory-operation", sf::graph::OpKind::kMemOp);
-  std::printf("(%zu trace events; launch counts match the per-block "
-              "template by construction)\n",
-              events.size());
-
-  if (const char* env = std::getenv("SCALEFOLD_TRACE_FILE");
-      env && *env) {
-    sf::obs::write_chrome_trace(env);
-    std::printf("wrote execution trace to %s\n", env);
-  }
   return 0;
 }

@@ -9,8 +9,6 @@
 namespace sf::graph {
 namespace {
 
-thread_local const char* t_phase = "";
-
 struct MemplanObs {
   obs::Counter& captures =
       obs::Registry::global().counter("memplan.captures");
@@ -28,14 +26,6 @@ MemplanObs& memplan_obs() {
 
 }  // namespace
 
-CapturePhase::CapturePhase(const char* name) : prev_(t_phase) {
-  t_phase = name;
-}
-
-CapturePhase::~CapturePhase() { t_phase = prev_; }
-
-const char* CapturePhase::current() { return t_phase; }
-
 RecordingAllocator::RecordingAllocator() = default;
 
 float* RecordingAllocator::allocate(int64_t numel) {
@@ -46,7 +36,6 @@ float* RecordingAllocator::allocate(int64_t numel) {
     life.id = static_cast<int64_t>(lifetimes_.size());
     life.numel = numel;
     life.def_tick = tick_++;
-    life.phase = t_phase;
     live_.emplace(p, life.id);
     lifetimes_.push_back(life);
   }
@@ -115,6 +104,12 @@ bool ArenaAllocator::end_step() {
   return clean;
 }
 
+void ArenaAllocator::abort_step() {
+  std::lock_guard<std::mutex> lock(mu_);
+  SF_CHECK(in_step_) << "abort_step without begin_step";
+  in_step_ = false;
+}
+
 float* ArenaAllocator::allocate(int64_t numel) {
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -178,7 +173,6 @@ void StepPlanner::run(const std::function<void()>& fn) {
     }
     std::vector<BufferLife> lifetimes = recorder->take_lifetimes();
     MemoryPlan plan = MemoryPlanner(align_bytes_).plan(lifetimes);
-    program_ = capture_program(lifetimes);
     stats_.planned_buffers = plan.num_buffers() - plan.num_escaping();
     stats_.escaping_buffers = plan.num_escaping();
     stats_.arena_bytes = plan.arena_bytes;
@@ -191,27 +185,17 @@ void StepPlanner::run(const std::function<void()>& fn) {
     return;
   }
   arena_->begin_step();
-  // end_step must run even when fn throws (a serving forward may fail and
-  // be handled by the caller): leaving the arena mid-step would trip the
-  // nested-step check on the next replay.
-  struct EndStepGuard {
-    ArenaAllocator* arena;
-    bool clean = false;
-    bool finished = false;
-    void finish() {
-      clean = arena->end_step();
-      finished = true;
-    }
-    ~EndStepGuard() {
-      if (!finished) arena->end_step();
-    }
-  } guard{arena_.get()};
-  {
+  try {
     AllocatorScope scope(arena_);
     fn();
+  } catch (...) {
+    // A serving forward may fail and be handled by the caller: close the
+    // step (leaving it open would trip the nested-step check on the next
+    // replay) without counting the caller's failure as a divergence.
+    arena_->abort_step();
+    throw;
   }
-  guard.finish();
-  const bool clean = guard.clean;
+  const bool clean = arena_->end_step();
   ++stats_.replays;
   stats_.clean_replays += clean ? 1 : 0;
   stats_.divergences = arena_->divergences();

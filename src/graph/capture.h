@@ -4,13 +4,13 @@
 // A StepPlanner owns one step shape (one "graph key": recycling count x
 // batch signature, or one serving bucket). Its first run() records every
 // Tensor buffer's (size, def tick, free tick) through a RecordingAllocator
-// while the step executes normally; the trace becomes a Program of buffer
-// defs plus a MemoryPlan (mem_plan.h). Every later run() executes the same
-// step out of a pre-sized arena: the allocation sequence is a pure
-// function of the step shape, so the ArenaAllocator serves request k at
-// the planned offset of buffer k — zero heap allocation, zero allocator
-// jitter, and bitwise-identical outputs (buffer addresses are the only
-// thing that changes; every kernel runs the same IEEE DAG).
+// while the step executes normally; the trace becomes a MemoryPlan
+// (mem_plan.h). Every later run() executes the same step out of a
+// pre-sized arena: the allocation sequence is a pure function of the step
+// shape, so the ArenaAllocator serves request k at the planned offset of
+// buffer k — zero heap allocation, zero allocator jitter, and
+// bitwise-identical outputs (buffer addresses are the only thing that
+// changes; every kernel runs the same IEEE DAG).
 //
 // Replay is defensive, not trusting: if the sequence diverges from the
 // plan (a NaN-skipped step, a code path the capture never saw), the
@@ -32,23 +32,11 @@
 
 namespace sf::graph {
 
-/// Scoped phase label ("forward", "backward", "optimizer", ...) attributed
-/// to buffers defined while in scope on this thread. Cheap enough to mark
-/// uncaptured steps too: one thread-local pointer swap.
-class CapturePhase {
- public:
-  explicit CapturePhase(const char* name);
-  ~CapturePhase();
-
-  CapturePhase(const CapturePhase&) = delete;
-  CapturePhase& operator=(const CapturePhase&) = delete;
-
-  /// Label currently in scope on this thread ("" outside any phase).
-  static const char* current();
-
- private:
-  const char* prev_;
-};
+/// Eager runs per step shape before its capture. At least one is needed so
+/// persistent state (gradient buffers, optimizer scratch, lazily-built
+/// model caches) is materialized on the heap instead of escaping the
+/// capture.
+inline constexpr int64_t kCaptureWarmupRuns = 1;
 
 /// Records buffer lifetimes while forwarding storage to the process heap.
 /// Install for exactly one step via AllocatorScope; frees arriving after
@@ -86,6 +74,11 @@ class ArenaAllocator : public Allocator {
   /// True when the finished step matched the plan exactly: every
   /// allocation served from the plan, every arena buffer returned.
   bool end_step();
+  /// Close a step whose body threw. The failure is the caller's, not a
+  /// departure from the plan, so it is not counted as a divergence; arena
+  /// buffers the aborted step leaked still make the next step divergent
+  /// (begin_step).
+  void abort_step();
 
   float* allocate(int64_t numel) override;
   void deallocate(float* ptr, int64_t numel) override;
@@ -142,14 +135,11 @@ class StepPlanner {
   bool captured() const { return arena_ != nullptr; }
   /// nullptr until the first run() completes.
   const MemoryPlan* plan() const;
-  /// Buffer-def Program of the capture (empty before the first run()).
-  const Program& program() const { return program_; }
   Stats stats() const { return stats_; }
 
  private:
   int64_t align_bytes_;
   std::shared_ptr<ArenaAllocator> arena_;
-  Program program_;
   Stats stats_;
 };
 

@@ -217,19 +217,4 @@ bool MemoryPlanner::validate(const MemoryPlan& plan,
   return true;
 }
 
-Program capture_program(const std::vector<BufferLife>& lifetimes) {
-  Program program;
-  for (const BufferLife& b : lifetimes) {
-    Op op;
-    op.name = std::string(b.phase[0] ? b.phase : "unphased") + ".def." +
-              std::to_string(b.id);
-    op.kind = OpKind::kMemOp;
-    op.bytes = static_cast<uint64_t>(b.numel) * sizeof(float);
-    op.buf_id = b.id;
-    op.buf_numel = b.numel;
-    program.add(std::move(op));
-  }
-  return program;
-}
-
 }  // namespace sf::graph

@@ -16,8 +16,6 @@
 #include <string>
 #include <vector>
 
-#include "graph/ir.h"
-
 namespace sf::graph {
 
 /// One buffer lifetime observed during capture. `def_tick`/`free_tick`
@@ -29,7 +27,6 @@ struct BufferLife {
   int64_t numel = 0;       ///< floats
   int64_t def_tick = 0;
   int64_t free_tick = -1;  ///< -1 = still live when capture ended (escaping)
-  const char* phase = "";  ///< trainer phase label at def time (static str)
 };
 
 /// Result of planning: one offset per buffer id. Escaping buffers (alive
@@ -65,12 +62,5 @@ class MemoryPlanner {
  private:
   int64_t align_bytes_;
 };
-
-/// Program view of a captured step: one op per buffer definition, carrying
-/// the buffer id + size (Op::buf_id / Op::buf_numel) and named after the
-/// phase it was defined in. Census kind is kMemOp — buffer definitions are
-/// memory traffic, and the step's real kernels keep their own census spans
-/// during replay, so Table 1 regeneration is unaffected.
-Program capture_program(const std::vector<BufferLife>& lifetimes);
 
 }  // namespace sf::graph

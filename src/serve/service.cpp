@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "common/error.h"
+#include "common/fault.h"
 #include "common/timer.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -145,6 +146,9 @@ void Service::featurize_task(Request req) {
     QueuedItem item;
     const uint64_t key =
         FeatureCache::key(dataset_.sequence(req.sample_index), req.bucket_len);
+    // Outside the cache's compute callback: a fire fails this request
+    // alone, never the other waiters on the same key.
+    SF_FAULT_POINT("serve.featurize", req.id);
     item.features = cache_.get_or_compute(
         key,
         [&] { return dataset_.prepare_batch(req.sample_index, req.bucket_len); },
@@ -210,6 +214,7 @@ void Service::model_drain_task() {
         float lddt = 0.0f;
         auto forward_once = [&] {
           SF_TRACE_SPAN_ID("serve", "forward", req.id);
+          SF_FAULT_POINT("serve.forward", req.id);
           model::ModelOutput out = net.forward(
               item.features, config_.num_recycles, /*compute_loss=*/true);
           // The response outlives this scope: clone the positions onto
@@ -221,11 +226,9 @@ void Service::model_drain_task() {
         };
         if (config_.planned_arenas) {
           PlanEntry& entry = planners_[slot].at(bucket);
-          if (entry.warmups < 1) {
-            // One eager forward per replica: lazily-built model state
-            // lands on the heap instead of escaping the capture.
-            ++entry.warmups;
+          if (entry.warmups < graph::kCaptureWarmupRuns) {
             forward_once();
+            ++entry.warmups;  // a forward that threw warmed nothing
           } else {
             if (entry.planner == nullptr) {
               entry.planner = std::make_unique<graph::StepPlanner>();
@@ -247,6 +250,7 @@ void Service::model_drain_task() {
         resp.ok = true;
         resp.total_s = (obs::trace_now_us() - req.t_submit_us) * 1e-6;
         SF_TRACE_SPAN_ID("serve", "respond", req.id);
+        SF_FAULT_POINT("serve.respond", req.id);
         finish(std::move(resp), req.est_work, /*admitted=*/true);
       } catch (...) {
         fail_request(req);

@@ -122,9 +122,7 @@ StepResult Trainer::train_step_accumulated(
   if (!config_.capture_step) return step_impl(batches, recycles);
 
   PlanEntry& entry = planners_[plan_key(batches, recycles)];
-  if (entry.warmups < config_.capture_warmup_steps) {
-    // Warm-up: run eager so persistent state (grad buffers, optimizer
-    // scratch) lands on the heap instead of escaping the capture.
+  if (entry.warmups < graph::kCaptureWarmupRuns) {
     ++entry.warmups;
     return step_impl(batches, recycles);
   }
@@ -155,14 +153,12 @@ StepResult Trainer::step_impl(std::span<const data::Batch> batches,
   for (const auto& batch : batches) {
     model::ModelOutput out = [&] {
       SF_TRACE_SPAN_ID("train", "forward", batch.index);
-      graph::CapturePhase phase("forward");
       return net_.forward(batch, result.recycles, /*compute_loss=*/true);
     }();
     // Scale so accumulated grads average over the local batch.
     autograd::Var scaled = autograd::scale(out.loss, inv_b);
     {
       SF_TRACE_SPAN_ID("train", "backward", batch.index);
-      graph::CapturePhase phase("backward");
       autograd::backward(scaled);
     }
     loss_acc += out.loss.value().at(0);
@@ -196,7 +192,6 @@ StepResult Trainer::step_impl(std::span<const data::Batch> batches,
 
   {
     SF_TRACE_SPAN("train", "optimizer");
-    graph::CapturePhase phase("optimizer");
     if (guard_norm && opt_.config().bucketed_grad_norm) {
       // grad_norm() runs the bucketed kernel step() would run: same bits.
       opt_.step_with_norm(*guard_norm, current_lr_scale());

@@ -67,17 +67,13 @@ struct TrainConfig {
   /// pre-elastic behavior).
   bool elastic_world = false;
   /// Whole-step capture + planned replay (the memory half of the paper's
-  /// CUDA-Graphs leg, §3.2): after `capture_warmup_steps` eager steps per
-  /// step shape (recycling count x batch signature), record one step's
+  /// CUDA-Graphs leg, §3.2): after graph::kCaptureWarmupRuns eager steps
+  /// per step shape (recycling count x batch signature), record one step's
   /// allocation trace and replay every later step of that shape out of a
   /// single statically planned arena — zero steady-state heap allocation
   /// and bitwise-identical results (replay runs the same IEEE DAG; only
   /// buffer addresses change). Off by default.
   bool capture_step = false;
-  /// Eager steps per step shape before capturing. At least one is needed
-  /// so persistent state (gradient buffers, lazily-built caches) is
-  /// materialized on the heap instead of escaping the capture.
-  int64_t capture_warmup_steps = 1;
   /// Real-leg DAP (§2.3): > 0 runs the main Evoformer stack across this
   /// many in-process ranks (dap::ShardedEvoformer) with resident shards
   /// and comm/compute-overlapped axis transposes. Must be 1, 2, or 4;

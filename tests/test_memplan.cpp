@@ -8,6 +8,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <stdexcept>
 #include <vector>
 
 #include "common/rng.h"
@@ -149,19 +150,6 @@ TEST(MemoryPlanner, ValidateCatchesCorruptPlans) {
   EXPECT_FALSE(MemoryPlanner::validate(bad, lives, &err));
 }
 
-TEST(MemoryPlanner, CaptureProgramCarriesBufferIdsAndPhases) {
-  auto lives = make_lives({{16, 0, 2}, {8, 1, 3}});
-  lives[0].phase = "forward";
-  graph::Program prog = graph::capture_program(lives);
-  ASSERT_EQ(prog.size(), 2u);
-  EXPECT_EQ(prog.ops()[0].name, "forward.def.0");
-  EXPECT_EQ(prog.ops()[0].buf_id, 0);
-  EXPECT_EQ(prog.ops()[0].buf_numel, 16);
-  EXPECT_EQ(prog.ops()[0].kind, graph::OpKind::kMemOp);
-  EXPECT_EQ(prog.ops()[1].name, "unphased.def.1");
-  EXPECT_EQ(prog.ops()[1].buf_id, 1);
-}
-
 // ---- Fuzz: random op DAG lifetimes -> plan -> poisoned replay --------------
 
 struct FuzzTrace {
@@ -256,6 +244,52 @@ TEST(ArenaAllocator, OffPlanRequestFallsBackToHeapAndCounts) {
   float* c = arena.allocate(16);
   arena.deallocate(c, 16);
   EXPECT_TRUE(arena.end_step());
+}
+
+TEST(ArenaAllocator, AbortedStepIsNotADivergenceButItsLeakIs) {
+  auto lives = make_lives({{16, 0, 1}, {16, 2, 3}});
+  ArenaAllocator arena(MemoryPlanner().plan(lives));
+  arena.begin_step();
+  float* a = arena.allocate(16);
+  arena.deallocate(a, 16);
+  arena.abort_step();
+  EXPECT_EQ(arena.divergences(), 0);
+
+  // A buffer the aborted step never returned makes the next step diverge.
+  arena.begin_step();
+  float* leaked = arena.allocate(16);
+  arena.abort_step();
+  EXPECT_EQ(arena.divergences(), 0);
+  arena.begin_step();
+  float* b = arena.allocate(16);
+  EXPECT_FALSE(arena.end_step());
+  EXPECT_EQ(arena.divergences(), 1);
+  arena.deallocate(b, 16);
+  arena.deallocate(leaked, 16);
+}
+
+TEST(StepPlanner, ThrowingReplayIsNotCountedAsADivergence) {
+  obs::Counter& counter =
+      obs::Registry::global().counter("memplan.divergences");
+  const double counter_before = counter.value();
+  StepPlanner planner;
+  bool fail = false;
+  auto step = [&] {
+    Tensor a({16});
+    if (fail) throw std::runtime_error("injected");
+    Tensor b({16});
+  };
+  planner.run(step);  // capture
+  fail = true;
+  EXPECT_THROW(planner.run(step), std::runtime_error);
+  EXPECT_EQ(planner.stats().divergences, 0);
+  fail = false;
+  planner.run(step);
+  const StepPlanner::Stats st = planner.stats();
+  EXPECT_EQ(st.replays, 1);
+  EXPECT_EQ(st.clean_replays, 1);
+  EXPECT_EQ(st.divergences, 0);
+  EXPECT_EQ(counter.value(), counter_before);
 }
 
 // ---- Trainer capture: differential + zero-allocation claim -----------------

@@ -6,11 +6,13 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <map>
 #include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
 
+#include "common/fault.h"
 #include "common/rng.h"
 #include "core/session.h"
 #include "obs/trace.h"
@@ -390,6 +392,77 @@ TEST(Serving, EveryAdmittedRequestAnsweredExactlyOnce) {
   // 6 distinct (sequence, bucket) keys; the other 6 must hit.
   EXPECT_EQ(stats.cache_misses, 6);
   EXPECT_EQ(stats.cache_hits, 6);
+}
+
+// Injected failures at every serving stage (featurize, a forward inside a
+// planner's capture or replay, respond) must still answer each admitted
+// request exactly once, leave nothing outstanding, and leave no trace in
+// later results: a clean round afterwards is bitwise what a never-faulted
+// service returns.
+TEST(Serving, FaultsStillAnswerEveryAdmittedRequestExactlyOnce) {
+  struct ResetFaults {
+    ~ResetFaults() { fault::reset(); }
+  } teardown;
+  const char* sites[] = {"serve.featurize", "serve.forward", "serve.respond"};
+  uint64_t seed = 31;
+  for (const char* site : sites) {
+    fault::SiteConfig cfg;
+    cfg.probability = 0.25;
+    cfg.max_fires = -1;
+    cfg.seed = seed++;
+    fault::arm(site, cfg);
+  }
+  Service svc(tiny_serve(), tiny_data(), tiny_model());
+  const int n = 24;
+  std::set<int64_t> admitted;
+  for (int i = 0; i < n; ++i) admitted.insert(svc.submit(i % 6));
+  auto responses = svc.wait_all();
+
+  std::set<int64_t> answered;
+  int64_t failures = 0;
+  for (const auto& r : responses) {
+    if (r.reject != RejectReason::kNone) {
+      admitted.erase(r.id);
+      continue;
+    }
+    EXPECT_TRUE(answered.insert(r.id).second) << "duplicate response " << r.id;
+    failures += r.ok ? 0 : 1;
+  }
+  EXPECT_EQ(answered, admitted);
+  int64_t fires = 0;
+  for (const char* site : sites) fires += fault::stats(site).fires;
+  EXPECT_EQ(failures, fires);
+  EXPECT_GT(fires, 0);  // hit counts, hence fire counts, are schedule-free
+  EXPECT_EQ(svc.outstanding(), 0);
+  // A forward that throws inside a replay is not a departure from the plan.
+  EXPECT_EQ(svc.stats().plan_divergences, 0);
+
+  fault::reset();
+  Service clean(tiny_serve(), tiny_data(), tiny_model());
+  for (int i = 0; i < 6; ++i) {
+    svc.submit(i);
+    clean.submit(i);
+  }
+  auto by_sample = [](std::vector<Response> rs) {
+    std::map<int64_t, Response> out;
+    for (auto& r : rs) {
+      EXPECT_TRUE(r.ok) << "request " << r.id;
+      out[r.sample_index] = std::move(r);
+    }
+    return out;
+  };
+  auto got = by_sample(svc.wait_all());
+  auto want = by_sample(clean.wait_all());
+  ASSERT_EQ(got.size(), 6u);
+  ASSERT_EQ(want.size(), 6u);
+  for (const auto& [sample, w] : want) {
+    const Response& g = got.at(sample);
+    ASSERT_EQ(g.positions.numel(), w.positions.numel()) << "sample " << sample;
+    EXPECT_EQ(std::memcmp(g.positions.data(), w.positions.data(),
+                          sizeof(float) * w.positions.numel()),
+              0)
+        << "sample " << sample;
+  }
 }
 
 // The service must return bit-identical positions to a direct forward of
