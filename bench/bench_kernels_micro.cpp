@@ -1,7 +1,7 @@
 // Kernel-level A/B microbenchmarks (§3.3.1 / §4.1 claims): naive vs fused
 // LayerNorm, naive vs flash MHA with pair bias, separate vs batched
-// pre-attention GEMMs, unfused vs fused Adam+SWA, concat vs bucketed grad
-// norm, and bias+GELU fusion. The paper reports overall-step speedups
+// pre-attention GEMMs, unfused vs fused Adam+SWA, and concat vs bucketed
+// grad norm. The paper reports overall-step speedups
 // (MHA 1.12x, LN 1.13x, FusedAdam+SWA 1.17x, batched GEMM 1.03x); these
 // benches measure the per-kernel ratios that produce them.
 #include <benchmark/benchmark.h>
@@ -13,8 +13,6 @@
 #include "common/simd.h"
 #include "kernels/attention.h"
 #include "obs/trace.h"
-#include "kernels/bf16_kernels.h"
-#include "kernels/elementwise.h"
 #include "kernels/gemm.h"
 #include "kernels/layernorm.h"
 #include "kernels/optimizer_kernels.h"
@@ -233,99 +231,6 @@ void BM_GradNormBucketed(benchmark::State& state) {
 }
 BENCHMARK(BM_GradNormBucketed);
 
-// ---- bias + GELU fusion ---------------------------------------------------
-
-void BM_BiasGeluUnfused(benchmark::State& state) {
-  const int64_t rows = 4096, cols = 256;
-  auto x = randoms(rows * cols, 1);
-  auto bias = randoms(cols, 2);
-  std::vector<float> tmp(rows * cols), y(rows * cols);
-  for (auto _ : state) {
-    bias_add(x.data(), bias.data(), tmp.data(), rows, cols);
-    gelu_forward(tmp.data(), y.data(), rows * cols);
-    benchmark::DoNotOptimize(y.data());
-  }
-}
-BENCHMARK(BM_BiasGeluUnfused);
-
-void BM_BiasGeluFused(benchmark::State& state) {
-  const int64_t rows = 4096, cols = 256;
-  auto x = randoms(rows * cols, 1);
-  auto bias = randoms(cols, 2);
-  std::vector<float> y(rows * cols);
-  for (auto _ : state) {
-    fused_bias_gelu(x.data(), bias.data(), y.data(), rows, cols);
-    benchmark::DoNotOptimize(y.data());
-  }
-}
-BENCHMARK(BM_BiasGeluFused);
-
-
-// ---- bf16 storage: the memory-traffic halving behind the 1.24x ---------
-
-void BM_StreamF32(benchmark::State& state) {
-  const int64_t n = 8 * 1000 * 1000;  // 32 MB in, 32 MB out: beyond LLC
-  auto x = randoms(n, 1);
-  std::vector<float> y(n);
-  for (auto _ : state) {
-    axpb_f32(x.data(), y.data(), n, 1.0001f, 0.5f);
-    benchmark::DoNotOptimize(y.data());
-  }
-  state.SetBytesProcessed(state.iterations() * n * 8);
-}
-BENCHMARK(BM_StreamF32);
-
-void BM_StreamBf16(benchmark::State& state) {
-  const int64_t n = 8 * 1000 * 1000;  // 16 MB in, 16 MB out
-  auto xf = randoms(n, 1);
-  std::vector<BFloat16> x(n), y(n);
-  to_bf16(xf.data(), x.data(), n);
-  for (auto _ : state) {
-    axpb_bf16(x.data(), y.data(), n, 1.0001f, 0.5f);
-    benchmark::DoNotOptimize(y.data());
-  }
-  state.SetBytesProcessed(state.iterations() * n * 4);
-}
-BENCHMARK(BM_StreamBf16);
-
-void BM_ReduceF32(benchmark::State& state) {
-  const int64_t n = 16 * 1000 * 1000;  // 64 MB
-  auto x = randoms(n, 5);
-  for (auto _ : state) {
-    float s = reduce_f32(x.data(), n);
-    benchmark::DoNotOptimize(s);
-  }
-  state.SetBytesProcessed(state.iterations() * n * 4);
-}
-BENCHMARK(BM_ReduceF32);
-
-void BM_ReduceBf16(benchmark::State& state) {
-  const int64_t n = 16 * 1000 * 1000;  // 32 MB
-  auto xf = randoms(n, 5);
-  std::vector<BFloat16> x(n);
-  to_bf16(xf.data(), x.data(), n);
-  for (auto _ : state) {
-    float s = reduce_bf16(x.data(), n);
-    benchmark::DoNotOptimize(s);
-  }
-  state.SetBytesProcessed(state.iterations() * n * 2);
-}
-BENCHMARK(BM_ReduceBf16);
-
-void BM_LayerNormF32Large(benchmark::State& state) {
-  const int64_t rows = 32768, cols = 256;  // 32 MB activations
-  auto x = randoms(rows * cols, 2);
-  auto gamma = randoms(cols, 3);
-  auto beta = randoms(cols, 4);
-  std::vector<float> y(rows * cols);
-  for (auto _ : state) {
-    layernorm_forward_fused(x.data(), gamma.data(), beta.data(), y.data(),
-                            rows, cols, 1e-5f, nullptr);
-    benchmark::DoNotOptimize(y.data());
-  }
-}
-BENCHMARK(BM_LayerNormF32Large);
-
 // ---- tracing overhead: the <2% disabled-cost budget ---------------------
 // Every kernel above carries an SF_TRACE_SPAN; with tracing off, the span
 // constructor must cost one relaxed atomic load. BM_DisabledTraceSpan
@@ -509,35 +414,5 @@ void BM_FusedAdamSimdTier(benchmark::State& state) {
   sf::simd::clear_tier();
 }
 BENCHMARK(BM_FusedAdamSimdTier)->Arg(0)->Arg(1)->Arg(2)->Arg(3);
-
-void BM_StreamBf16SimdTier(benchmark::State& state) {
-  const int64_t n = 8 * 1000 * 1000;
-  if (!pin_tier_or_skip(state, state.range(0))) return;
-  auto xf = randoms(n, 1);
-  std::vector<BFloat16> x(n), y(n);
-  to_bf16(xf.data(), x.data(), n);
-  for (auto _ : state) {
-    axpb_bf16(x.data(), y.data(), n, 1.0001f, 0.5f);
-    benchmark::DoNotOptimize(y.data());
-  }
-  sf::simd::clear_tier();
-  state.SetBytesProcessed(state.iterations() * n * 4);
-}
-BENCHMARK(BM_StreamBf16SimdTier)->Arg(0)->Arg(1)->Arg(2)->Arg(3);
-
-void BM_LayerNormBf16Large(benchmark::State& state) {
-  const int64_t rows = 32768, cols = 256;  // 16 MB activations
-  auto xf = randoms(rows * cols, 2);
-  auto gamma = randoms(cols, 3);
-  auto beta = randoms(cols, 4);
-  std::vector<BFloat16> x(rows * cols), y(rows * cols);
-  to_bf16(xf.data(), x.data(), xf.size());
-  for (auto _ : state) {
-    layernorm_forward_fused_bf16(x.data(), gamma.data(), beta.data(),
-                                 y.data(), rows, cols, 1e-5f);
-    benchmark::DoNotOptimize(y.data());
-  }
-}
-BENCHMARK(BM_LayerNormBf16Large);
 
 }  // namespace

@@ -59,7 +59,7 @@ int main() {
     auto batch = ds.prepare_batch(0);
 
     double step_s = time_n(3, [&] {
-      net.params().zero_all_grads();
+      for (auto& p : net.params().all()) p.node()->grad = Tensor();
       auto out = net.forward(batch, 1, true);
       autograd::backward(out.loss);
     });

@@ -19,8 +19,12 @@
 #      and transpose overlap) -> BENCH_*.json artifacts;
 #   4. tools/check_bench_json.py over every BENCH_*.json (fields present,
 #      numbers finite, load axes monotone);
-#   5. ASan+UBSan build + full suite;
-#   6. TSan build + `ctest -L concurrency -LE slow` (selection by ctest
+#   5. reachability: tools/unreached.sh --check relinks perfbench_driver and
+#      the examples with --gc-sections and fails on an sf:: function that
+#      no product links and tools/unreached.allow does not list, or on an
+#      allow entry that no longer matches one;
+#   6. ASan+UBSan build + full suite;
+#   7. TSan build + `ctest -L concurrency -LE slow` (selection by ctest
 #      label, not by name regex — a new concurrent test only needs the
 #      label to be covered).
 #
@@ -133,6 +137,9 @@ gate "bench_dap_real --check (sharded trunk bitwise vs baseline, overlap)" \
 
 gate "BENCH_*.json schema/finiteness/axis validation" \
   python3 tools/check_bench_json.py --dir build
+
+gate "unreached sf:: functions match tools/unreached.allow" \
+  tools/unreached.sh --check
 
 echo "==> address,undefined sanitizer build"
 if cmake -B build-asan -S . -DSCALEFOLD_SANITIZE=address,undefined \

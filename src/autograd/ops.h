@@ -18,36 +18,21 @@ namespace sf::autograd {
 
 // ---- basic arithmetic -----------------------------------------------------
 Var add(const Var& a, const Var& b);
-Var sub(const Var& a, const Var& b);
 Var mul(const Var& a, const Var& b);
 Var scale(const Var& a, float s);
-Var add_scalar(const Var& a, float s);
-
-/// Matrix product a[M,K] x b[K,N].
-Var matmul(const Var& a, const Var& b);
 
 /// x[..., K] x w[K,N] + bias[N]; leading dims flattened. bias optional.
 Var linear(const Var& x, const Var& w, const Var* bias = nullptr);
 
-/// x[R,C] + bias[C] broadcast over rows (x may be >2D, last dim = C).
-Var add_rowwise(const Var& x, const Var& bias);
-
-/// Multiply by a constant per-row mask m[R] broadcast over trailing dims.
-Var mul_bcast_mask(const Var& x, const Tensor& row_mask);
-
-/// Inverted dropout: zeroes each element with probability p and scales
-/// survivors by 1/(1-p); the same mask gates the backward. Identity when
-/// p == 0. Deterministic given the caller's RNG state.
-Var dropout(const Var& x, float p, Rng& rng);
-
-/// Row-shared dropout (AF2's DropoutRowwise): one Bernoulli draw per slice
-/// of the leading axis, broadcast across the slice.
+/// Row-shared inverted dropout (AF2's DropoutRowwise): one Bernoulli draw
+/// per slice of the leading axis, broadcast across the slice; dropped
+/// slices are zeroed, kept ones scaled by 1/(1-p), and the same mask gates
+/// the backward. Identity when p == 0. Deterministic given the caller's RNG
+/// state.
 Var dropout_rows(const Var& x, float p, Rng& rng);
 
 // ---- activations ----------------------------------------------------------
-Var relu(const Var& x);
 Var gelu(const Var& x);
-Var sigmoid(const Var& x);
 /// Gated unit: sigmoid(gate) * x (fused kernel, single tape node).
 Var glu(const Var& x, const Var& gate);
 
@@ -56,8 +41,6 @@ Var glu(const Var& x, const Var& gate);
 /// ScaleFold kernel; both record identical math on the tape.
 Var layernorm(const Var& x, const Var& gamma, const Var& beta,
               float eps = 1e-5f, bool fused = true);
-
-Var softmax_lastdim(const Var& x);
 
 /// Multi-head attention with optional pair bias (per §3.3.1 / Fig. 6).
 /// q,k,v are [B,H,S,D]; pair_bias (optional) is [H,Sq,Sk]; mask (optional,
@@ -82,7 +65,6 @@ Var stop_gradient(const Var& x);
 
 // ---- reductions / losses --------------------------------------------------
 Var sum(const Var& x);
-Var mean(const Var& x);
 
 /// Mean of w[i] * (x[i] - target[i])^2 over all elements; target and
 /// weight are constants. weight may be null (all ones).

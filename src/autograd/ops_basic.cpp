@@ -1,5 +1,5 @@
-// Basic differentiable ops: arithmetic, matmul/linear, activations,
-// reductions and losses.
+// Basic differentiable ops: arithmetic, linear, activations, reductions
+// and losses.
 #include <cmath>
 #include <cstring>
 
@@ -23,16 +23,6 @@ Var add(const Var& a, const Var& b) {
   });
 }
 
-Var sub(const Var& a, const Var& b) {
-  Tensor out = a.value().sub(b.value());
-  auto an = a.node();
-  auto bn = b.node();
-  return make_op(std::move(out), {a, b}, [an, bn](const Tensor& up) {
-    if (an->requires_grad) an->accumulate_grad(up);
-    if (bn->requires_grad) bn->accumulate_grad(up.scale(-1.0f));
-  });
-}
-
 Var mul(const Var& a, const Var& b) {
   Tensor out = a.value().mul(b.value());
   auto an = a.node();
@@ -48,38 +38,6 @@ Var scale(const Var& a, float s) {
   auto an = a.node();
   return make_op(std::move(out), {a}, [an, s](const Tensor& up) {
     an->accumulate_grad(up.scale(s));
-  });
-}
-
-Var add_scalar(const Var& a, float s) {
-  Tensor out = a.value().add_scalar(s);
-  auto an = a.node();
-  return make_op(std::move(out), {a}, [an](const Tensor& up) {
-    an->accumulate_grad(up);
-  });
-}
-
-Var matmul(const Var& a, const Var& b) {
-  SF_CHECK(a.shape().size() == 2 && b.shape().size() == 2);
-  int64_t m = a.shape()[0], k = a.shape()[1], n = b.shape()[1];
-  SF_CHECK(b.shape()[0] == k) << "matmul inner dim mismatch";
-  Tensor out({m, n});
-  kernels::gemm(a.value().data(), b.value().data(), out.data(), m, k, n);
-  auto an = a.node();
-  auto bn = b.node();
-  return make_op(std::move(out), {a, b}, [an, bn, m, k, n](const Tensor& up) {
-    if (an->requires_grad) {
-      Tensor da({m, k});
-      kernels::gemm(up.data(), bn->value.data(), da.data(), m, n, k, false,
-                    true);
-      an->accumulate_grad(da);
-    }
-    if (bn->requires_grad) {
-      Tensor db({k, n});
-      kernels::gemm(an->value.data(), up.data(), db.data(), k, m, n, true,
-                    false);
-      bn->accumulate_grad(db);
-    }
   });
 }
 
@@ -150,66 +108,6 @@ Var linear(const Var& x, const Var& w, const Var* bias) {
   });
 }
 
-Var add_rowwise(const Var& x, const Var& bias) {
-  const int64_t c = bias.numel();
-  SF_CHECK(!x.shape().empty() && x.shape().back() == c);
-  const int64_t rows = x.numel() / c;
-  Tensor out(x.shape());
-  kernels::bias_add(x.value().data(), bias.value().data(), out.data(), rows, c);
-  auto xn = x.node();
-  auto bn = bias.node();
-  return make_op(std::move(out), {x, bias}, [xn, bn, rows, c](const Tensor& up) {
-    if (xn->requires_grad) xn->accumulate_grad(up);
-    if (bn->requires_grad) {
-      Tensor db(bn->value.shape());
-      const float* u = up.data();
-      float* d = db.data();
-      for (int64_t r = 0; r < rows; ++r) {
-        for (int64_t j = 0; j < c; ++j) d[j] += u[r * c + j];
-      }
-      bn->accumulate_grad(db);
-    }
-  });
-}
-
-Var mul_bcast_mask(const Var& x, const Tensor& row_mask) {
-  const int64_t r = row_mask.numel();
-  SF_CHECK(x.numel() % r == 0);
-  const int64_t inner = x.numel() / r;
-  Tensor out(x.shape());
-  const float* xd = x.value().data();
-  const float* m = row_mask.data();
-  float* o = out.data();
-  for (int64_t i = 0; i < r; ++i) {
-    for (int64_t j = 0; j < inner; ++j) o[i * inner + j] = xd[i * inner + j] * m[i];
-  }
-  auto xn = x.node();
-  Tensor mask_copy = row_mask.clone();
-  return make_op(std::move(out), {x},
-                 [xn, mask_copy, r, inner](const Tensor& up) {
-    Tensor dx(xn->value.shape());
-    const float* u = up.data();
-    const float* m = mask_copy.data();
-    float* d = dx.data();
-    for (int64_t i = 0; i < r; ++i) {
-      for (int64_t j = 0; j < inner; ++j) d[i * inner + j] = u[i * inner + j] * m[i];
-    }
-    xn->accumulate_grad(dx);
-  });
-}
-
-Var relu(const Var& x) {
-  Tensor out(x.shape());
-  kernels::relu_forward(x.value().data(), out.data(), x.numel());
-  auto xn = x.node();
-  return make_op(std::move(out), {x}, [xn](const Tensor& up) {
-    Tensor dx(xn->value.shape());
-    kernels::relu_backward(xn->value.data(), up.data(), dx.data(),
-                           xn->value.numel());
-    xn->accumulate_grad(dx);
-  });
-}
-
 Var gelu(const Var& x) {
   Tensor out(x.shape());
   kernels::gelu_forward(x.value().data(), out.data(), x.numel());
@@ -218,20 +116,6 @@ Var gelu(const Var& x) {
     Tensor dx(xn->value.shape());
     kernels::gelu_backward(xn->value.data(), up.data(), dx.data(),
                            xn->value.numel());
-    xn->accumulate_grad(dx);
-  });
-}
-
-Var sigmoid(const Var& x) {
-  Tensor out(x.shape());
-  kernels::sigmoid_forward(x.value().data(), out.data(), x.numel());
-  auto xn = x.node();
-  // Capture the output value for the y*(1-y) backward.
-  Tensor y = out;  // shares buffer
-  return make_op(std::move(out), {x}, [xn, y](const Tensor& up) {
-    Tensor dx(xn->value.shape());
-    kernels::sigmoid_backward_from_output(y.data(), up.data(), dx.data(),
-                                          y.numel());
     xn->accumulate_grad(dx);
   });
 }
@@ -270,16 +154,6 @@ Var sum(const Var& x) {
   auto xn = x.node();
   return make_op(std::move(out), {x}, [xn](const Tensor& up) {
     Tensor dx = Tensor::full(xn->value.shape(), up.at(0));
-    xn->accumulate_grad(dx);
-  });
-}
-
-Var mean(const Var& x) {
-  const float inv_n = 1.0f / static_cast<float>(x.numel());
-  Tensor out = Tensor::scalar(x.value().mean());
-  auto xn = x.node();
-  return make_op(std::move(out), {x}, [xn, inv_n](const Tensor& up) {
-    Tensor dx = Tensor::full(xn->value.shape(), up.at(0) * inv_n);
     xn->accumulate_grad(dx);
   });
 }
@@ -396,29 +270,6 @@ Var softmax_cross_entropy(const Var& logits,
 }
 
 
-namespace {
-
-Var dropout_with_mask(const Var& x, Tensor mask) {
-  Tensor out = x.value().mul(mask);
-  auto xn = x.node();
-  return make_op(std::move(out), {x}, [xn, mask](const Tensor& up) {
-    xn->accumulate_grad(up.mul(mask));
-  });
-}
-
-}  // namespace
-
-Var dropout(const Var& x, float p, Rng& rng) {
-  SF_CHECK(p >= 0.0f && p < 1.0f) << "dropout probability" << p;
-  if (p == 0.0f) return x;
-  const float keep_scale = 1.0f / (1.0f - p);
-  Tensor mask(x.shape());
-  for (int64_t i = 0; i < mask.numel(); ++i) {
-    mask.at(i) = rng.bernoulli(p) ? 0.0f : keep_scale;
-  }
-  return dropout_with_mask(x, std::move(mask));
-}
-
 Var dropout_rows(const Var& x, float p, Rng& rng) {
   SF_CHECK(p >= 0.0f && p < 1.0f) << "dropout probability" << p;
   SF_CHECK(!x.shape().empty());
@@ -431,7 +282,11 @@ Var dropout_rows(const Var& x, float p, Rng& rng) {
     float v = rng.bernoulli(p) ? 0.0f : keep_scale;
     for (int64_t i = 0; i < inner; ++i) mask.at(r * inner + i) = v;
   }
-  return dropout_with_mask(x, std::move(mask));
+  Tensor out = x.value().mul(mask);
+  auto xn = x.node();
+  return make_op(std::move(out), {x}, [xn, mask](const Tensor& up) {
+    xn->accumulate_grad(up.mul(mask));
+  });
 }
 
 }  // namespace sf::autograd

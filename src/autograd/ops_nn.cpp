@@ -1,12 +1,11 @@
-// Neural-net ops: LayerNorm, softmax, multi-head attention (naive/flash),
-// head splitting and permutations.
+// Neural-net ops: LayerNorm, multi-head attention (naive/flash), head
+// splitting and permutations.
 #include <cstring>
 
 #include "autograd/blocked.h"
 #include "autograd/ops.h"
 #include "common/error.h"
 #include "kernels/layernorm.h"
-#include "kernels/softmax.h"
 
 namespace sf::autograd {
 
@@ -73,20 +72,6 @@ Var layernorm(const Var& x, const Var& gamma, const Var& beta, float eps,
     if (xn->requires_grad) xn->accumulate_grad(dx);
     if (gn->requires_grad) gn->accumulate_grad(dgamma);
     if (bn->requires_grad) bn->accumulate_grad(dbeta);
-  });
-}
-
-Var softmax_lastdim(const Var& x) {
-  const int64_t cols = x.shape().back();
-  const int64_t rows = x.numel() / cols;
-  Tensor out(x.shape());
-  kernels::softmax_forward(x.value().data(), out.data(), rows, cols);
-  auto xn = x.node();
-  Tensor y = out;  // shares buffer with the output node's value
-  return make_op(std::move(out), {x}, [xn, y, rows, cols](const Tensor& up) {
-    Tensor dx(xn->value.shape());
-    kernels::softmax_backward(y.data(), up.data(), dx.data(), rows, cols);
-    xn->accumulate_grad(dx);
   });
 }
 

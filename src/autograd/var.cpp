@@ -165,8 +165,8 @@ void execute_sweep(const std::vector<Node*>& order) {
   }
 }
 
-void run_backward_multi(const std::vector<Var>& roots,
-                        const std::vector<Tensor>& seeds) {
+void run_backward(const std::vector<Var>& roots,
+                  const std::vector<Tensor>& seeds) {
   // Collect the union reachable subgraph.
   std::vector<Node*> order;
   std::unordered_set<Node*> seen;
@@ -179,6 +179,7 @@ void run_backward_multi(const std::vector<Var>& roots,
     order.push_back(n);
     for (auto& p : n->parents) stack.push_back(p.get());
   }
+  // Reverse creation order == topological order for a dynamic tape.
   std::sort(order.begin(), order.end(),
             [](Node* a, Node* b) { return a->id > b->id; });
   for (size_t i = 0; i < roots.size(); ++i) {
@@ -187,49 +188,12 @@ void run_backward_multi(const std::vector<Var>& roots,
   execute_sweep(order);
 }
 
-void run_backward(const Var& root, const Tensor& seed) {
-
-  // Collect the reachable subgraph.
-  std::vector<Node*> order;
-  std::unordered_set<Node*> seen;
-  std::vector<Node*> stack{root.node().get()};
-  while (!stack.empty()) {
-    Node* n = stack.back();
-    stack.pop_back();
-    if (!seen.insert(n).second) continue;
-    order.push_back(n);
-    for (auto& p : n->parents) stack.push_back(p.get());
-  }
-  // Reverse creation order == topological order for a dynamic tape.
-  std::sort(order.begin(), order.end(),
-            [](Node* a, Node* b) { return a->id > b->id; });
-
-  root.node()->accumulate_grad(seed);
-  execute_sweep(order);
-}
 }  // namespace
 
 void backward(const Var& root) {
   SF_CHECK(root.defined());
   SF_CHECK(root.numel() == 1) << "backward() root must be scalar";
-  run_backward(root, Tensor::ones(root.value().shape()));
-}
-
-void backward_seeded(const Var& root, const Tensor& seed) {
-  SF_CHECK(root.defined());
-  SF_CHECK(seed.shape() == root.value().shape())
-      << "seed shape" << shape_str(seed.shape()) << "vs root"
-      << shape_str(root.value().shape());
-  run_backward(root, seed);
-}
-
-void backward_seeded_multi(const std::vector<Var>& roots,
-                           const std::vector<Tensor>& seeds) {
-  SF_CHECK(roots.size() == seeds.size());
-  for (size_t i = 0; i < roots.size(); ++i) {
-    SF_CHECK(seeds[i].shape() == roots[i].value().shape());
-  }
-  run_backward_multi(roots, seeds);
+  run_backward({root}, {Tensor::ones(root.value().shape())});
 }
 
 std::vector<Var> checkpoint_multi(
@@ -276,7 +240,7 @@ std::vector<Var> checkpoint_multi(
                           ? on->grad
                           : Tensor::zeros(on->value.shape()));
     }
-    run_backward_multi(roots, seeds);
+    run_backward(roots, seeds);
     for (size_t i = 0; i < leaves.size(); ++i) {
       if ((*input_nodes)[i]->requires_grad &&
           leaves[i].node()->grad.defined()) {
@@ -290,61 +254,6 @@ std::vector<Var> checkpoint_multi(
     node->backward = recompute;
   }
   return outs;
-}
-
-Var checkpoint(const std::function<Var(const std::vector<Var>&)>& fn,
-               const std::vector<Var>& inputs) {
-  // Cheap forward: no tape inside the checkpointed segment.
-  Tensor value;
-  {
-    NoGradGuard no_grad;
-    value = fn(inputs).value().clone();
-  }
-  // Save detached copies of the inputs for re-execution.
-  auto saved = std::make_shared<std::vector<Tensor>>();
-  saved->reserve(inputs.size());
-  for (const Var& in : inputs) saved->push_back(in.value().clone());
-  std::vector<std::shared_ptr<Node>> input_nodes;
-  for (const Var& in : inputs) input_nodes.push_back(in.node());
-
-  // The segment may touch trainable parameters captured inside `fn` (the
-  // usual case: module weights), so the checkpoint node must run its
-  // backward even when no *explicit* input requires grad.
-  Var out = make_op(std::move(value), inputs,
-                    [fn, saved, input_nodes](const Tensor& up) {
-    // Recompute with autograd enabled on fresh leaves.
-    std::vector<Var> leaves;
-    leaves.reserve(saved->size());
-    for (const Tensor& t : *saved) leaves.emplace_back(t.clone(), true);
-    Var out = fn(leaves);
-    backward_seeded(out, up);
-    for (size_t i = 0; i < leaves.size(); ++i) {
-      if (input_nodes[i]->requires_grad && leaves[i].node()->grad.defined()) {
-        input_nodes[i]->accumulate_grad(leaves[i].node()->grad);
-      }
-    }
-  });
-  // Force participation in backward (see comment above). make_op only set
-  // requires_grad from the explicit inputs.
-  auto node = out.node();
-  if (!node->requires_grad) {
-    node->requires_grad = true;
-    // Re-attach the backward that make_op dropped.
-    node->backward = [fn, saved, input_nodes](const Tensor& up) {
-      std::vector<Var> leaves;
-      leaves.reserve(saved->size());
-      for (const Tensor& t : *saved) leaves.emplace_back(t.clone(), true);
-      Var inner = fn(leaves);
-      backward_seeded(inner, up);
-      for (size_t i = 0; i < leaves.size(); ++i) {
-        if (input_nodes[i]->requires_grad &&
-            leaves[i].node()->grad.defined()) {
-          input_nodes[i]->accumulate_grad(leaves[i].node()->grad);
-        }
-      }
-    };
-  }
-  return out;
 }
 
 size_t reachable_nodes(const Var& root) {

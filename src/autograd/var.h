@@ -91,10 +91,6 @@ void set_grad_ready_hooks(const std::vector<Var>& nodes,
 /// Drop hooks registered on this thread without running a backward.
 void clear_grad_ready_hooks();
 
-/// Run reverse-mode accumulation seeding the root's grad with `seed`
-/// (same shape as the root's value). Used by checkpoint re-execution.
-void backward_seeded(const Var& root, const Tensor& seed);
-
 /// Thread-local autograd switch (torch.no_grad analogue). While disabled,
 /// make_op produces constant nodes with no parents or backward — the
 /// mechanism gradient checkpointing uses to run a cheap forward.
@@ -113,24 +109,17 @@ class NoGradGuard {
 
 /// Gradient checkpointing (§2.2: OpenFold's memory/speed trade; §4.1: DAP
 /// frees enough memory to disable it). Runs `fn` with autograd disabled —
-/// no intermediate tape is kept — and registers a single node whose
-/// backward re-executes `fn` with autograd enabled to reconstruct the
-/// inner tape, then routes gradients to `inputs`.
-Var checkpoint(const std::function<Var(const std::vector<Var>&)>& fn,
-               const std::vector<Var>& inputs);
-
-/// Multi-output gradient checkpointing (an Evoformer block yields both the
-/// MSA and pair representations). The recompute fires exactly once, when
-/// the first of the outputs is reached in the reverse sweep — at which
-/// point every output's upstream gradient is complete, because all
-/// consumers were created after all outputs on the tape.
+/// no intermediate tape is kept — and registers output nodes whose
+/// backward re-executes `fn` with autograd enabled on fresh leaves, then
+/// routes gradients to `inputs`. `fn` may yield several outputs (an
+/// Evoformer block yields both the MSA and pair representations); a
+/// single-output segment returns a one-element vector. The recompute fires
+/// exactly once, when the first of the outputs is reached in the reverse
+/// sweep — at which point every output's upstream gradient is complete,
+/// because all consumers were created after all outputs on the tape.
 std::vector<Var> checkpoint_multi(
     const std::function<std::vector<Var>(const std::vector<Var>&)>& fn,
     const std::vector<Var>& inputs);
-
-/// Seed several roots and run one reverse sweep over the union graph.
-void backward_seeded_multi(const std::vector<Var>& roots,
-                           const std::vector<Tensor>& seeds);
 
 /// Number of tape nodes reachable from `root` (memory-footprint proxy for
 /// checkpointing tests/benches).

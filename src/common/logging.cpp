@@ -1,12 +1,10 @@
 #include "common/logging.h"
 
-#include <atomic>
 #include <cstdio>
 #include <mutex>
 
 namespace sf {
 namespace {
-std::atomic<LogLevel> g_level{LogLevel::kInfo};
 std::mutex g_emit_mu;
 
 const char* level_name(LogLevel level) {
@@ -20,10 +18,7 @@ const char* level_name(LogLevel level) {
 }
 }  // namespace
 
-LogLevel log_level() { return g_level.load(std::memory_order_relaxed); }
-void set_log_level(LogLevel level) {
-  g_level.store(level, std::memory_order_relaxed);
-}
+LogLevel log_level() { return LogLevel::kInfo; }
 
 namespace detail {
 void emit_log(LogLevel level, const std::string& msg) {

@@ -1,7 +1,7 @@
 // Lightweight leveled logging to stderr.
 //
-// Benches print their tables to stdout; diagnostics go through SF_LOG so
-// they can be silenced globally (tests run with level = kWarn).
+// Benches print their tables to stdout; diagnostics go through SF_LOG to
+// stderr.
 #pragma once
 
 #include <sstream>
@@ -11,9 +11,8 @@ namespace sf {
 
 enum class LogLevel { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3 };
 
-/// Global minimum level; messages below it are dropped.
+/// Global minimum level (kInfo); messages below it are dropped.
 LogLevel log_level();
-void set_log_level(LogLevel level);
 
 namespace detail {
 void emit_log(LogLevel level, const std::string& msg);

@@ -180,10 +180,6 @@ AsyncTransposer::~AsyncTransposer() {
   }
 }
 
-std::pair<int64_t, int64_t> AsyncTransposer::chunk_cols(int64_t t) const {
-  return chunk_bounds(lb_, chunks_, t);
-}
-
 void AsyncTransposer::launch(const Tensor& shard) {
   SF_CHECK(shard.numel() == la_ * b_ * c_) << "transpose shard size";
   const float* sd = shard.data();

@@ -56,8 +56,6 @@ class AsyncTransposer {
   ~AsyncTransposer();
 
   int64_t num_chunks() const { return chunks_; }
-  /// Columns [begin, end) of this rank's B-shard covered by chunk t.
-  std::pair<int64_t, int64_t> chunk_cols(int64_t t) const;
 
   /// Pack `shard` [A/n, B, C] and launch every chunk's exchange.
   void launch(const Tensor& shard);

@@ -226,7 +226,9 @@ Batch PrefetchLoader::next() {
     // Ready-first: any completed batch unblocks the consumer, Fig. 5 (ii).
     return !ready_.empty();
   };
+  bool waited_behind_ready = false;
   while (!available()) {
+    waited_behind_ready = waited_behind_ready || !ready_.empty();
     // The consumer doubles as a watchdog: with every worker hung or dead,
     // somebody still has to notice the deadline and requeue.
     reclaim_expired_locked();
@@ -234,6 +236,7 @@ Batch PrefetchLoader::next() {
     cv_ready_.wait_for(lock, poll_);
   }
   if (worker_error_) std::rethrow_exception(worker_error_);
+  if (waited_behind_ready) ++stats_.waits_behind_ready;
 
   // In order: exactly the next index. Ready-first: the smallest-index
   // batch that is already done (std::map iteration order = priority queue

@@ -84,6 +84,10 @@ struct LoaderStats {
   /// Ready batches a yield passed over for a larger index. Both policies
   /// keep this at 0: a batch is overtaken only while it is in flight.
   int64_t ready_overtakes = 0;
+  /// next() calls that waited while some batch was already ready: in-order
+  /// parks behind a straggler this way; ready-first never does (it waits
+  /// only on an empty buffer), so it keeps this at 0.
+  int64_t waits_behind_ready = 0;
 };
 
 /// Prefetching loader over an index range [0, num_batches).

@@ -160,10 +160,6 @@ void ArenaAllocator::deallocate(float* ptr, int64_t numel) {
 
 StepPlanner::StepPlanner(int64_t align_bytes) : align_bytes_(align_bytes) {}
 
-const MemoryPlan* StepPlanner::plan() const {
-  return arena_ != nullptr ? &arena_->plan() : nullptr;
-}
-
 void StepPlanner::run(const std::function<void()>& fn) {
   if (arena_ == nullptr) {
     auto recorder = std::make_shared<RecordingAllocator>();

@@ -84,7 +84,6 @@ class ArenaAllocator : public Allocator {
   void deallocate(float* ptr, int64_t numel) override;
   const char* name() const override { return "arena"; }
 
-  const MemoryPlan& plan() const { return plan_; }
   int64_t divergences() const { return divergences_; }
   int64_t heap_fallbacks() const { return heap_fallbacks_; }
 
@@ -133,8 +132,6 @@ class StepPlanner {
   void run(const std::function<void()>& fn);
 
   bool captured() const { return arena_ != nullptr; }
-  /// nullptr until the first run() completes.
-  const MemoryPlan* plan() const;
   Stats stats() const { return stats_; }
 
  private:

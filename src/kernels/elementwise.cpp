@@ -5,7 +5,6 @@
 
 #include "common/parallel.h"
 #include "kernels/simd_ops.h"
-#include "obs/trace.h"
 
 namespace sf::kernels {
 namespace {
@@ -39,18 +38,6 @@ inline float sigmoid_scalar(float x) { return 1.0f / (1.0f + std::exp(-x)); }
 
 }  // namespace
 
-void relu_forward(const float* x, float* y, int64_t n) {
-  parallel_for(0, n, kEwGrain, [&](int64_t b, int64_t e) {
-    simd::ops().relu_fwd_f32(x + b, y + b, e - b);
-  });
-}
-
-void relu_backward(const float* x, const float* dy, float* dx, int64_t n) {
-  parallel_for(0, n, kEwGrain, [&](int64_t b, int64_t e) {
-    simd::ops().relu_bwd_f32(x + b, dy + b, dx + b, e - b);
-  });
-}
-
 void gelu_forward(const float* x, float* y, int64_t n) {
   parallel_for(0, n, kEwGrain, [&](int64_t b, int64_t e) {
     for (int64_t i = b; i < e; ++i) y[i] = gelu_scalar(x[i]);
@@ -63,19 +50,6 @@ void gelu_backward(const float* x, const float* dy, float* dx, int64_t n) {
   });
 }
 
-void sigmoid_forward(const float* x, float* y, int64_t n) {
-  parallel_for(0, n, kEwGrain, [&](int64_t b, int64_t e) {
-    for (int64_t i = b; i < e; ++i) y[i] = sigmoid_scalar(x[i]);
-  });
-}
-
-void sigmoid_backward_from_output(const float* y, const float* dy, float* dx,
-                                  int64_t n) {
-  parallel_for(0, n, kEwGrain, [&](int64_t b, int64_t e) {
-    for (int64_t i = b; i < e; ++i) dx[i] = dy[i] * y[i] * (1.0f - y[i]);
-  });
-}
-
 void bias_add(const float* x, const float* bias, float* y, int64_t rows,
               int64_t cols) {
   const simd::Ops& o = simd::ops();
@@ -83,24 +57,6 @@ void bias_add(const float* x, const float* bias, float* y, int64_t rows,
     for (int64_t r = r0; r < r1; ++r) {
       o.add_f32(x + r * cols, bias, y + r * cols, cols);
     }
-  });
-}
-
-void fused_bias_gelu(const float* x, const float* bias, float* y, int64_t rows,
-                     int64_t cols) {
-  SF_TRACE_SPAN_ID("kernel", "fused_bias_gelu", num_threads());
-  parallel_for(0, rows, row_grain_for(cols), [&](int64_t r0, int64_t r1) {
-    for (int64_t r = r0; r < r1; ++r) {
-      const float* xr = x + r * cols;
-      float* yr = y + r * cols;
-      for (int64_t c = 0; c < cols; ++c) yr[c] = gelu_scalar(xr[c] + bias[c]);
-    }
-  });
-}
-
-void add_forward(const float* a, const float* b, float* y, int64_t n) {
-  parallel_for(0, n, kEwGrain, [&](int64_t lo, int64_t hi) {
-    simd::ops().add_f32(a + lo, b + lo, y + lo, hi - lo);
   });
 }
 

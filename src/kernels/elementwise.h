@@ -2,8 +2,7 @@
 //
 // The AlphaFold step launches ~150k mostly memory-bound kernels (Table 1);
 // chains of elementwise ops (bias add, activation, gating, residual) are
-// the bulk of them. These are the primitives the pattern fuser in
-// sf::graph targets, plus hand-fused combinations used by the model.
+// the bulk of them. These are the ones the model's tape ops call.
 #pragma once
 
 #include <cstdint>
@@ -11,28 +10,12 @@
 namespace sf::kernels {
 
 // Activations (forward / backward given upstream grad and forward input).
-void relu_forward(const float* x, float* y, int64_t n);
-void relu_backward(const float* x, const float* dy, float* dx, int64_t n);
-
 void gelu_forward(const float* x, float* y, int64_t n);
 void gelu_backward(const float* x, const float* dy, float* dx, int64_t n);
 
-void sigmoid_forward(const float* x, float* y, int64_t n);
-/// dx from the forward *output* y (sigmoid grad is y*(1-y)).
-void sigmoid_backward_from_output(const float* y, const float* dy, float* dx,
-                                  int64_t n);
-
-// Unfused pair: bias broadcast add then activation, two passes with a
-// materialized intermediate (written by the caller into tmp).
+/// y[r, c] = x[r, c] + bias[c]; y may alias x.
 void bias_add(const float* x, const float* bias, float* y, int64_t rows,
               int64_t cols);
-
-// Fused bias + GELU: one pass, intermediate in registers.
-void fused_bias_gelu(const float* x, const float* bias, float* y, int64_t rows,
-                     int64_t cols);
-
-/// y = a + b (residual add).
-void add_forward(const float* a, const float* b, float* y, int64_t n);
 
 /// Gated output: y = sigmoid(g) * x, fused. dgate/dx backward included.
 void fused_glu_forward(const float* x, const float* gate, float* y, int64_t n);

@@ -46,18 +46,10 @@ struct Ops {
 
   /// y[i] += a * x[i]
   void (*axpy_f32)(float a, const float* x, float* y, int64_t n);
-  /// y[i] += a * bf16_load(x[i])
-  void (*axpy_bf16_f32)(float a, const uint16_t* x, float* y, int64_t n);
   /// y[i] *= a
   void (*scale_f32)(float* y, float a, int64_t n);
   /// y[i] = a[i] + b[i]
   void (*add_f32)(const float* a, const float* b, float* y, int64_t n);
-  /// y[i] = a * x[i] + b
-  void (*axpb_f32)(const float* x, float* y, int64_t n, float a, float b);
-  /// y[i] = x[i] > 0 ? x[i] : 0
-  void (*relu_fwd_f32)(const float* x, float* y, int64_t n);
-  /// dx[i] = x[i] > 0 ? dy[i] : 0
-  void (*relu_bwd_f32)(const float* x, const float* dy, float* dx, int64_t n);
 
   /// 8-lane fixed-order dot product.
   float (*dot_f32)(const float* x, const float* y, int64_t n);
@@ -86,15 +78,6 @@ struct Ops {
   /// Fused Adam+SWA over one contiguous chunk; `s` may be null (no SWA).
   void (*adam_swa_chunk)(float* p, float* g, float* m, float* v, float* s,
                          int64_t n, const AdamConsts& k);
-
-  /// Round-to-nearest-even f32 -> bf16 with the NaN guard of
-  /// BFloat16::round_from_float.
-  void (*to_bf16)(const float* x, uint16_t* y, int64_t n);
-  /// bf16 -> f32 widening load.
-  void (*from_bf16)(const uint16_t* x, float* y, int64_t n);
-  /// y[i] = bf16_store_fast(a * bf16_load(x[i]) + b)
-  void (*axpb_bf16)(const uint16_t* x, uint16_t* y, int64_t n, float a,
-                    float b);
 };
 
 /// Table for tier `t`, or nullptr when that tier is not available in this

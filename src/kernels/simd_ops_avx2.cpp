@@ -28,12 +28,6 @@ struct Avx2Backend {
   static VF mul(VF a, VF b) { return _mm256_mul_ps(a, b); }
   static VF div(VF a, VF b) { return _mm256_div_ps(a, b); }
   static VF sqrt(VF a) { return _mm256_sqrt_ps(a); }
-  static VF select_gtz(VF x, VF a) {
-    // Ordered-quiet GT: NaN lanes compare false and pick +0, matching the
-    // scalar ternary.
-    return _mm256_and_ps(
-        _mm256_cmp_ps(x, _mm256_setzero_ps(), _CMP_GT_OQ), a);
-  }
 
   static VD dzero() { return _mm256_setzero_pd(); }
   static VD dadd(VD a, VD b) { return _mm256_add_pd(a, b); }
@@ -42,39 +36,6 @@ struct Avx2Backend {
     return _mm256_cvtps_pd(_mm_loadu_ps(p));
   }
   static void dstore(double* p, VD a) { _mm256_storeu_pd(p, a); }
-
-  static VF bf16_widen8(const uint16_t* p) {
-    const __m128i u =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
-    return _mm256_castsi256_ps(
-        _mm256_slli_epi32(_mm256_cvtepu16_epi32(u), 16));
-  }
-  static __m256i rne8i(__m256 f) {
-    const __m256i u = _mm256_castps_si256(f);
-    const __m256i bias = _mm256_add_epi32(
-        _mm256_set1_epi32(0x7fff),
-        _mm256_and_si256(_mm256_srli_epi32(u, 16), _mm256_set1_epi32(1)));
-    return _mm256_srli_epi32(_mm256_add_epi32(u, bias), 16);
-  }
-  static void pack_store(__m256i words, uint16_t* out) {
-    // packus works within 128-bit halves; permute the two useful quads
-    // back together before storing the low 128 bits.
-    const __m256i packed = _mm256_packus_epi32(words, _mm256_setzero_si256());
-    const __m256i fixed = _mm256_permute4x64_epi64(packed, 0x08);
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(out),
-                     _mm256_castsi256_si128(fixed));
-  }
-  static void bf16_rne8(VF a, uint16_t* out) { pack_store(rne8i(a), out); }
-  static void bf16_guard8(VF a, uint16_t* out) {
-    const __m256i u = _mm256_castps_si256(a);
-    // (u & 0x7fffffff) <= 0x7fffffff, so the signed compare is exact.
-    const __m256i is_nan = _mm256_cmpgt_epi32(
-        _mm256_and_si256(u, _mm256_set1_epi32(0x7fffffff)),
-        _mm256_set1_epi32(0x7f800000));
-    const __m256i nan_bits =
-        _mm256_or_si256(_mm256_srli_epi32(u, 16), _mm256_set1_epi32(0x40));
-    pack_store(_mm256_blendv_epi8(rne8i(a), nan_bits, is_nan), out);
-  }
 };
 
 }  // namespace

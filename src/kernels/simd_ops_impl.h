@@ -22,7 +22,6 @@
 #include <cstdint>
 
 #include "kernels/simd_ops.h"
-#include "tensor/bfloat16.h"
 
 namespace sf::kernels::simd {
 
@@ -41,17 +40,6 @@ struct Ker {
     for (; i < n; ++i) y[i] += a * x[i];
   }
 
-  static void axpy_bf16_f32(float a, const uint16_t* x, float* y, int64_t n) {
-    const VF va = B::set1(a);
-    const int64_t n8 = n & ~int64_t{7};
-    int64_t i = 0;
-    for (; i < n8; i += 8) {
-      B::store(y + i,
-               B::add(B::load(y + i), B::mul(va, B::bf16_widen8(x + i))));
-    }
-    for (; i < n; ++i) y[i] += a * bf16_load(x[i]);
-  }
-
   static void scale_f32(float* y, float a, int64_t n) {
     const VF va = B::set1(a);
     const int64_t n8 = n & ~int64_t{7};
@@ -67,36 +55,6 @@ struct Ker {
       B::store(y + i, B::add(B::load(a + i), B::load(b + i)));
     }
     for (; i < n; ++i) y[i] = a[i] + b[i];
-  }
-
-  static void axpb_f32(const float* x, float* y, int64_t n, float a, float b) {
-    const VF va = B::set1(a), vb = B::set1(b);
-    const int64_t n8 = n & ~int64_t{7};
-    int64_t i = 0;
-    for (; i < n8; i += 8) {
-      B::store(y + i, B::add(B::mul(va, B::load(x + i)), vb));
-    }
-    for (; i < n; ++i) y[i] = a * x[i] + b;
-  }
-
-  static void relu_fwd_f32(const float* x, float* y, int64_t n) {
-    const int64_t n8 = n & ~int64_t{7};
-    int64_t i = 0;
-    for (; i < n8; i += 8) {
-      const VF xi = B::load(x + i);
-      B::store(y + i, B::select_gtz(xi, xi));
-    }
-    for (; i < n; ++i) y[i] = x[i] > 0.0f ? x[i] : 0.0f;
-  }
-
-  static void relu_bwd_f32(const float* x, const float* dy, float* dx,
-                           int64_t n) {
-    const int64_t n8 = n & ~int64_t{7};
-    int64_t i = 0;
-    for (; i < n8; i += 8) {
-      B::store(dx + i, B::select_gtz(B::load(x + i), B::load(dy + i)));
-    }
-    for (; i < n; ++i) dx[i] = x[i] > 0.0f ? dy[i] : 0.0f;
   }
 
   static float dot_f32(const float* x, const float* y, int64_t n) {
@@ -296,31 +254,6 @@ struct Ker {
       if (s) s[i] = k.swa_decay * s[i] + omswa * pi;
     }
   }
-
-  static void to_bf16(const float* x, uint16_t* y, int64_t n) {
-    const int64_t n8 = n & ~int64_t{7};
-    int64_t i = 0;
-    for (; i < n8; i += 8) B::bf16_guard8(B::load(x + i), y + i);
-    for (; i < n; ++i) y[i] = BFloat16::round_from_float(x[i]);
-  }
-
-  static void from_bf16(const uint16_t* x, float* y, int64_t n) {
-    const int64_t n8 = n & ~int64_t{7};
-    int64_t i = 0;
-    for (; i < n8; i += 8) B::store(y + i, B::bf16_widen8(x + i));
-    for (; i < n; ++i) y[i] = bf16_load(x[i]);
-  }
-
-  static void axpb_bf16(const uint16_t* x, uint16_t* y, int64_t n, float a,
-                        float b) {
-    const VF va = B::set1(a), vb = B::set1(b);
-    const int64_t n8 = n & ~int64_t{7};
-    int64_t i = 0;
-    for (; i < n8; i += 8) {
-      B::bf16_rne8(B::add(B::mul(va, B::bf16_widen8(x + i)), vb), y + i);
-    }
-    for (; i < n; ++i) y[i] = bf16_store_fast(a * bf16_load(x[i]) + b);
-  }
 };
 
 template <class B>
@@ -328,12 +261,8 @@ inline Ops make_ops() {
   return Ops{
       B::kName,
       &Ker<B>::axpy_f32,
-      &Ker<B>::axpy_bf16_f32,
       &Ker<B>::scale_f32,
       &Ker<B>::add_f32,
-      &Ker<B>::axpb_f32,
-      &Ker<B>::relu_fwd_f32,
-      &Ker<B>::relu_bwd_f32,
       &Ker<B>::dot_f32,
       &Ker<B>::sum_sumsq_f32,
       &Ker<B>::sumsq_f32,
@@ -341,9 +270,6 @@ inline Ops make_ops() {
       &Ker<B>::ln_bwd_row_reduce,
       &Ker<B>::ln_bwd_row_dx,
       &Ker<B>::adam_swa_chunk,
-      &Ker<B>::to_bf16,
-      &Ker<B>::from_bf16,
-      &Ker<B>::axpb_bf16,
   };
 }
 

@@ -1,9 +1,7 @@
 // NEON SIMD backend (aarch64): the 8-float virtual vector is a pair of
 // float32x4_t, the 4-double vector a pair of float64x2_t. NEON is
 // architecturally baseline on aarch64, so no extra compile flags and no
-// CPUID gate beyond the architecture itself. relu goes through
-// compare+select (not vmaxq, whose NaN semantics differ from the scalar
-// ternary); no FMA (vfmaq) anywhere.
+// CPUID gate beyond the architecture itself. No FMA (vfmaq) anywhere.
 #include <cstdint>
 
 #if defined(SF_SIMD_BUILD_NEON)
@@ -45,15 +43,6 @@ struct NeonBackend {
     return {vdivq_f32(a.lo, b.lo), vdivq_f32(a.hi, b.hi)};
   }
   static VF sqrt(VF a) { return {vsqrtq_f32(a.lo), vsqrtq_f32(a.hi)}; }
-  static float32x4_t gtz4(float32x4_t x, float32x4_t a) {
-    // x > 0 ? a : +0 — NaN compares false, matching the scalar ternary.
-    const uint32x4_t mask = vcgtq_f32(x, vdupq_n_f32(0.0f));
-    return vreinterpretq_f32_u32(
-        vandq_u32(mask, vreinterpretq_u32_f32(a)));
-  }
-  static VF select_gtz(VF x, VF a) {
-    return {gtz4(x.lo, a.lo), gtz4(x.hi, a.hi)};
-  }
 
   static VD dzero() { return {vdupq_n_f64(0.0), vdupq_n_f64(0.0)}; }
   static VD dadd(VD a, VD b) {
@@ -69,34 +58,6 @@ struct NeonBackend {
   static void dstore(double* p, VD a) {
     vst1q_f64(p, a.lo);
     vst1q_f64(p + 2, a.hi);
-  }
-
-  static VF bf16_widen8(const uint16_t* p) {
-    const uint16x8_t u = vld1q_u16(p);
-    return {vreinterpretq_f32_u32(vshll_n_u16(vget_low_u16(u), 16)),
-            vreinterpretq_f32_u32(vshll_n_u16(vget_high_u16(u), 16))};
-  }
-  static uint32x4_t rne4(float32x4_t f) {
-    const uint32x4_t u = vreinterpretq_u32_f32(f);
-    const uint32x4_t bias = vaddq_u32(
-        vdupq_n_u32(0x7fff),
-        vandq_u32(vshrq_n_u32(u, 16), vdupq_n_u32(1)));
-    return vshrq_n_u32(vaddq_u32(u, bias), 16);
-  }
-  static void bf16_rne8(VF a, uint16_t* out) {
-    vst1q_u16(out, vcombine_u16(vmovn_u32(rne4(a.lo)), vmovn_u32(rne4(a.hi))));
-  }
-  static uint32x4_t guard4(float32x4_t f) {
-    const uint32x4_t u = vreinterpretq_u32_f32(f);
-    const uint32x4_t is_nan = vcgtq_u32(
-        vandq_u32(u, vdupq_n_u32(0x7fffffff)), vdupq_n_u32(0x7f800000));
-    const uint32x4_t nan_bits =
-        vorrq_u32(vshrq_n_u32(u, 16), vdupq_n_u32(0x40));
-    return vbslq_u32(is_nan, nan_bits, rne4(f));
-  }
-  static void bf16_guard8(VF a, uint16_t* out) {
-    vst1q_u16(out,
-              vcombine_u16(vmovn_u32(guard4(a.lo)), vmovn_u32(guard4(a.hi))));
   }
 };
 

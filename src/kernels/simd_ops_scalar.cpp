@@ -6,7 +6,6 @@
 #include <cstdint>
 
 #include "kernels/simd_ops_impl.h"
-#include "tensor/bfloat16.h"
 
 namespace sf::kernels::simd {
 namespace {
@@ -60,11 +59,6 @@ struct ScalarBackend {
     for (int l = 0; l < 8; ++l) r.v[l] = std::sqrt(a.v[l]);
     return r;
   }
-  static VF select_gtz(VF x, VF a) {
-    VF r;
-    for (int l = 0; l < 8; ++l) r.v[l] = x.v[l] > 0.0f ? a.v[l] : 0.0f;
-    return r;
-  }
 
   static VD dzero() {
     VD r;
@@ -88,18 +82,6 @@ struct ScalarBackend {
   }
   static void dstore(double* p, VD a) {
     for (int l = 0; l < 4; ++l) p[l] = a.v[l];
-  }
-
-  static VF bf16_widen8(const uint16_t* p) {
-    VF r;
-    for (int l = 0; l < 8; ++l) r.v[l] = bf16_load(p[l]);
-    return r;
-  }
-  static void bf16_rne8(VF a, uint16_t* out) {
-    for (int l = 0; l < 8; ++l) out[l] = bf16_store_fast(a.v[l]);
-  }
-  static void bf16_guard8(VF a, uint16_t* out) {
-    for (int l = 0; l < 8; ++l) out[l] = BFloat16::round_from_float(a.v[l]);
   }
 };
 

@@ -44,13 +44,6 @@ struct SseBackend {
     return {_mm_div_ps(a.lo, b.lo), _mm_div_ps(a.hi, b.hi)};
   }
   static VF sqrt(VF a) { return {_mm_sqrt_ps(a.lo), _mm_sqrt_ps(a.hi)}; }
-  static VF select_gtz(VF x, VF a) {
-    // x > 0 ? a : +0 — the GT compare is ordered, so NaN lanes pick +0,
-    // matching the scalar ternary.
-    const __m128 z = _mm_setzero_ps();
-    return {_mm_and_ps(_mm_cmpgt_ps(x.lo, z), a.lo),
-            _mm_and_ps(_mm_cmpgt_ps(x.hi, z), a.hi)};
-  }
 
   static VD dzero() { return {_mm_setzero_pd(), _mm_setzero_pd()}; }
   static VD dadd(VD a, VD b) {
@@ -66,41 +59,6 @@ struct SseBackend {
   static void dstore(double* p, VD a) {
     _mm_storeu_pd(p, a.lo);
     _mm_storeu_pd(p + 2, a.hi);
-  }
-
-  static VF bf16_widen8(const uint16_t* p) {
-    const __m128i u =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
-    const __m128i lo32 = _mm_cvtepu16_epi32(u);
-    const __m128i hi32 = _mm_cvtepu16_epi32(_mm_srli_si128(u, 8));
-    return {_mm_castsi128_ps(_mm_slli_epi32(lo32, 16)),
-            _mm_castsi128_ps(_mm_slli_epi32(hi32, 16))};
-  }
-  static __m128i rne4(__m128 f) {
-    const __m128i u = _mm_castps_si128(f);
-    const __m128i bias = _mm_add_epi32(
-        _mm_set1_epi32(0x7fff),
-        _mm_and_si128(_mm_srli_epi32(u, 16), _mm_set1_epi32(1)));
-    return _mm_srli_epi32(_mm_add_epi32(u, bias), 16);
-  }
-  static void bf16_rne8(VF a, uint16_t* out) {
-    // Rounded values fit in 16 bits, so the unsigned pack is lossless.
-    const __m128i packed = _mm_packus_epi32(rne4(a.lo), rne4(a.hi));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(out), packed);
-  }
-  static __m128i guard4(__m128 f) {
-    const __m128i u = _mm_castps_si128(f);
-    // (u & 0x7fffffff) <= 0x7fffffff, so the signed compare is exact.
-    const __m128i is_nan = _mm_cmpgt_epi32(
-        _mm_and_si128(u, _mm_set1_epi32(0x7fffffff)),
-        _mm_set1_epi32(0x7f800000));
-    const __m128i nan_bits =
-        _mm_or_si128(_mm_srli_epi32(u, 16), _mm_set1_epi32(0x40));
-    return _mm_blendv_epi8(rne4(f), nan_bits, is_nan);
-  }
-  static void bf16_guard8(VF a, uint16_t* out) {
-    const __m128i packed = _mm_packus_epi32(guard4(a.lo), guard4(a.hi));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(out), packed);
   }
 };
 

@@ -53,11 +53,4 @@ int64_t ParamStore::total_elements() const {
   return n;
 }
 
-void ParamStore::zero_all_grads() {
-  for (auto& [name, v] : params_) {
-    auto node = v.node();
-    node->grad = Tensor();
-  }
-}
-
 }  // namespace sf::model

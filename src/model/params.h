@@ -39,8 +39,6 @@ class ParamStore {
   size_t size() const { return params_.size(); }
   int64_t total_elements() const;
 
-  void zero_all_grads();
-
  private:
   std::map<std::string, autograd::Var> params_;
 };

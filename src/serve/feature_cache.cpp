@@ -54,21 +54,6 @@ std::optional<data::Batch> FeatureCache::lookup_locked(uint64_t key) {
   return it->second->batch;  // tensors share buffers: cheap copy
 }
 
-std::optional<data::Batch> FeatureCache::get(uint64_t key) {
-  if (!config_.enabled) return std::nullopt;
-  std::lock_guard<std::mutex> lock(mu_);
-  std::optional<data::Batch> cached = lookup_locked(key);
-  if (!cached) count_locked(/*hit=*/false);
-  return cached;
-}
-
-void FeatureCache::put(uint64_t key, const data::Batch& batch) {
-  if (!config_.enabled) return;
-  const int64_t cost = batch_bytes(batch);
-  std::lock_guard<std::mutex> lock(mu_);
-  put_locked(key, batch, cost);
-}
-
 void FeatureCache::put_locked(uint64_t key, const data::Batch& batch,
                               int64_t cost) {
   if (index_.count(key)) return;  // already cached: first insert wins

@@ -8,10 +8,10 @@
 // different entry. Values are Batch objects; tensors share buffers on
 // copy, so a hit costs a map lookup + refcount bumps, never a re-prep.
 //
-// Eviction is LRU by bytes: put() evicts least-recently-used entries until
-// total payload bytes fit max_bytes. An entry larger than the whole budget
-// is simply not cached. Hit/miss/eviction counters and a byte gauge are
-// registered in sf_obs under serve.cache.*.
+// Eviction is LRU by bytes: an insert evicts least-recently-used entries
+// until total payload bytes fit max_bytes. An entry larger than the whole
+// budget is simply not cached. Hit/miss/eviction counters and a byte gauge
+// are registered in sf_obs under serve.cache.*.
 //
 // get_or_compute() is single-flight: the first miss of a key computes it,
 // and concurrent lookups of the same key wait on that one computation (and
@@ -49,18 +49,12 @@ class FeatureCache {
   /// Payload bytes a Batch pins in the cache (tensor data only).
   static int64_t batch_bytes(const data::Batch& batch);
 
-  /// Lookup; promotes the entry to most-recently-used on hit. Counts a
-  /// hit or a miss. Always a miss when the cache is disabled.
-  std::optional<data::Batch> get(uint64_t key);
-
-  /// Insert (no-op if disabled or already present), then evict LRU
-  /// entries until bytes() <= max_bytes.
-  void put(uint64_t key, const data::Batch& batch);
-
-  /// Single-flight lookup: a cached entry is a hit; a key another caller
-  /// is computing is waited for and is also a hit; otherwise this call
-  /// counts the miss, runs `compute`, caches its result and hands it to
-  /// every waiter. If `compute` throws, every waiter rethrows it. `*hit`
+  /// Single-flight lookup: a cached entry is a hit, promoted to
+  /// most-recently-used; a key another caller is computing is waited for
+  /// and is also a hit; otherwise this call counts the miss, runs
+  /// `compute`, caches its result (unless it alone exceeds max_bytes),
+  /// evicts LRU entries until bytes() <= max_bytes, and hands the result
+  /// to every waiter. If `compute` throws, every waiter rethrows it. `*hit`
   /// (if given) reports whether this call was a hit. A disabled cache
   /// just runs `compute`.
   data::Batch get_or_compute(uint64_t key,
@@ -81,8 +75,8 @@ class FeatureCache {
     int64_t bytes;
   };
 
-  /// The one hit path: a cached entry is promoted to MRU and counted as
-  /// a hit; an absent key returns nullopt and counts nothing.
+  /// A cached entry is promoted to MRU and counted as a hit; an absent key
+  /// returns nullopt and counts nothing.
   std::optional<data::Batch> lookup_locked(uint64_t key);
   void count_locked(bool hit);
   void put_locked(uint64_t key, const data::Batch& batch, int64_t cost);

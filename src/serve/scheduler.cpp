@@ -64,9 +64,4 @@ int64_t BucketScheduler::pending() const {
   return n;
 }
 
-int64_t BucketScheduler::pending_in_bucket(int64_t bucket_len) const {
-  auto it = queues_.find(bucket_len);
-  return it == queues_.end() ? 0 : static_cast<int64_t>(it->second.size());
-}
-
 }  // namespace sf::serve

@@ -65,7 +65,6 @@ class BucketScheduler {
   std::vector<QueuedItem> next_batch();
 
   int64_t pending() const;
-  int64_t pending_in_bucket(int64_t bucket_len) const;
   const SchedulerConfig& config() const { return config_; }
 
   /// Total batches dispatched / requests dispatched (mean batch size =

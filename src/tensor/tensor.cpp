@@ -122,16 +122,6 @@ Tensor Tensor::add(const Tensor& other) const {
   return out;
 }
 
-Tensor Tensor::sub(const Tensor& other) const {
-  check_same_shape(other, "sub");
-  Tensor out(shape_);
-  const float* a = data();
-  const float* b = other.data();
-  float* o = out.data();
-  for (int64_t i = 0; i < numel_; ++i) o[i] = a[i] - b[i];
-  return out;
-}
-
 Tensor Tensor::mul(const Tensor& other) const {
   check_same_shape(other, "mul");
   Tensor out(shape_);
@@ -147,14 +137,6 @@ Tensor Tensor::scale(float s) const {
   const float* a = data();
   float* o = out.data();
   for (int64_t i = 0; i < numel_; ++i) o[i] = a[i] * s;
-  return out;
-}
-
-Tensor Tensor::add_scalar(float s) const {
-  Tensor out(shape_);
-  const float* a = data();
-  float* o = out.data();
-  for (int64_t i = 0; i < numel_; ++i) o[i] = a[i] + s;
   return out;
 }
 
@@ -177,23 +159,11 @@ float Tensor::sum() const {
   return static_cast<float>(acc);
 }
 
-float Tensor::mean() const {
-  SF_CHECK(numel_ > 0);
-  return sum() / static_cast<float>(numel_);
-}
-
 float Tensor::max_abs() const {
   float m = 0.0f;
   const float* a = data();
   for (int64_t i = 0; i < numel_; ++i) m = std::max(m, std::fabs(a[i]));
   return m;
-}
-
-float Tensor::norm() const {
-  double acc = 0.0;
-  const float* a = data();
-  for (int64_t i = 0; i < numel_; ++i) acc += static_cast<double>(a[i]) * a[i];
-  return static_cast<float>(std::sqrt(acc));
 }
 
 bool Tensor::all_finite() const {

@@ -76,19 +76,14 @@ class Tensor {
 
   // ---- Convenience math (thin wrappers; heavy math is in sf::kernels) ----
   Tensor add(const Tensor& other) const;
-  Tensor sub(const Tensor& other) const;
   Tensor mul(const Tensor& other) const;
   Tensor scale(float s) const;
-  Tensor add_scalar(float s) const;
 
   void add_(const Tensor& other);   ///< in-place +=
   void scale_(float s);             ///< in-place *=
 
   float sum() const;
-  float mean() const;
   float max_abs() const;
-  /// L2 norm of all elements.
-  float norm() const;
 
   /// True if all elements are finite.
   bool all_finite() const;

@@ -134,13 +134,6 @@ void AsyncEvaluator::submit(int64_t step,
   cv_.notify_one();
 }
 
-std::vector<AsyncEvaluator::Report> AsyncEvaluator::drain() {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<Report> out = std::move(done_);
-  done_.clear();
-  return out;
-}
-
 std::vector<AsyncEvaluator::Report> AsyncEvaluator::wait_all() {
   std::unique_lock<std::mutex> lock(mu_);
   cv_.wait(lock, [this] { return jobs_.empty() && in_progress_ == 0; });

@@ -66,7 +66,7 @@ class EvalCache {
 
 /// Offloaded evaluator: owns a model replica on its own thread. submit()
 /// copies the current weights and returns immediately; results are
-/// collected with drain()/wait_all(). Mirrors the paper's dedicated
+/// collected with wait_all(). Mirrors the paper's dedicated
 /// evaluation nodes (2080 = 2048 train + 32 eval GPUs).
 class AsyncEvaluator {
  public:
@@ -83,10 +83,8 @@ class AsyncEvaluator {
   /// and queue an evaluation tagged with `step`.
   void submit(int64_t step, const std::vector<autograd::Var>& weights);
 
-  /// Non-blocking: returns all finished reports.
-  std::vector<Report> drain();
-
-  /// Block until every submitted job is finished, then drain.
+  /// Block until every submitted job is finished, then return (and clear)
+  /// every finished report.
   std::vector<Report> wait_all();
 
   int64_t pending() const;

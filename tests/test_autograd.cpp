@@ -38,30 +38,16 @@ TEST(Autograd, AddGrad) {
       {leaf({3, 4}, 1), leaf({3, 4}, 2)});
 }
 
-TEST(Autograd, SubGrad) {
-  expect_gradcheck(
-      [](const std::vector<Var>& v) { return to_scalar(sub(v[0], v[1])); },
-      {leaf({2, 5}, 3), leaf({2, 5}, 4)});
-}
-
 TEST(Autograd, MulGrad) {
   expect_gradcheck(
       [](const std::vector<Var>& v) { return to_scalar(mul(v[0], v[1])); },
       {leaf({6}, 5), leaf({6}, 6)});
 }
 
-TEST(Autograd, ScaleAndAddScalarGrad) {
+TEST(Autograd, ScaleGrad) {
   expect_gradcheck(
-      [](const std::vector<Var>& v) {
-        return to_scalar(add_scalar(scale(v[0], 2.5f), -1.0f));
-      },
+      [](const std::vector<Var>& v) { return to_scalar(scale(v[0], 2.5f)); },
       {leaf({7}, 7)});
-}
-
-TEST(Autograd, MatmulGrad) {
-  expect_gradcheck(
-      [](const std::vector<Var>& v) { return to_scalar(matmul(v[0], v[1])); },
-      {leaf({3, 4}, 8, 0.5f), leaf({4, 2}, 9, 0.5f)});
 }
 
 TEST(Autograd, LinearGradWithBias) {
@@ -80,45 +66,10 @@ TEST(Autograd, LinearGradHighRankInput) {
       {leaf({2, 3, 4}, 13, 0.5f), leaf({4, 3}, 14, 0.5f)});
 }
 
-TEST(Autograd, AddRowwiseGrad) {
-  expect_gradcheck(
-      [](const std::vector<Var>& v) {
-        return to_scalar(add_rowwise(v[0], v[1]));
-      },
-      {leaf({4, 3}, 15), leaf({3}, 16)});
-}
-
-TEST(Autograd, MulBcastMaskGrad) {
-  Tensor mask({4}, {1, 0, 1, 1});
-  expect_gradcheck(
-      [mask](const std::vector<Var>& v) {
-        return to_scalar(mul_bcast_mask(v[0], mask));
-      },
-      {leaf({4, 3}, 17)});
-}
-
-TEST(Autograd, ReluGrad) {
-  // Keep values away from the kink.
-  Rng rng(18);
-  Tensor t = Tensor::randn({20}, rng);
-  for (int64_t i = 0; i < 20; ++i) {
-    if (std::fabs(t.at(i)) < 0.1f) t.at(i) = 0.5f;
-  }
-  expect_gradcheck(
-      [](const std::vector<Var>& v) { return to_scalar(relu(v[0])); },
-      {Var(t, true)});
-}
-
 TEST(Autograd, GeluGrad) {
   expect_gradcheck(
       [](const std::vector<Var>& v) { return to_scalar(gelu(v[0])); },
       {leaf({12}, 19)});
-}
-
-TEST(Autograd, SigmoidGrad) {
-  expect_gradcheck(
-      [](const std::vector<Var>& v) { return to_scalar(sigmoid(v[0])); },
-      {leaf({12}, 20)});
 }
 
 TEST(Autograd, GluGrad) {
@@ -135,11 +86,9 @@ TEST(Autograd, ReshapeGrad) {
       {leaf({3, 4}, 23)});
 }
 
-TEST(Autograd, SumMeanGrad) {
+TEST(Autograd, SumGrad) {
   expect_gradcheck(
       [](const std::vector<Var>& v) { return sum(v[0]); }, {leaf({5}, 24)});
-  expect_gradcheck(
-      [](const std::vector<Var>& v) { return mean(v[0]); }, {leaf({5}, 25)});
 }
 
 TEST(Autograd, WeightedMseGrad) {
@@ -151,14 +100,6 @@ TEST(Autograd, WeightedMseGrad) {
         return weighted_mse(v[0], target, &weight);
       },
       {leaf({6}, 27)});
-}
-
-TEST(Autograd, SoftmaxGrad) {
-  expect_gradcheck(
-      [](const std::vector<Var>& v) {
-        return to_scalar(softmax_lastdim(v[0]));
-      },
-      {leaf({3, 5}, 28)}, 1e-2f);
 }
 
 TEST(Autograd, LayerNormGradFused) {
@@ -351,7 +292,7 @@ TEST(Autograd, GradAccumulatesAcrossBackwards) {
 TEST(Autograd, DropoutStatisticsAndScaling) {
   Rng rng(61);
   Var x(Tensor::ones({4000}), true);
-  Var y = dropout(x, 0.25f, rng);
+  Var y = dropout_rows(x, 0.25f, rng);  // rank 1: one draw per element
   int64_t zeros = 0;
   double sum = 0;
   for (int64_t i = 0; i < y.numel(); ++i) {
@@ -367,14 +308,14 @@ TEST(Autograd, DropoutStatisticsAndScaling) {
 TEST(Autograd, DropoutZeroRateIsIdentity) {
   Rng rng(62);
   Var x = leaf({16}, 63);
-  Var y = dropout(x, 0.0f, rng);
+  Var y = dropout_rows(x, 0.0f, rng);
   EXPECT_EQ(x.value().max_abs_diff(y.value()), 0.0f);
 }
 
 TEST(Autograd, DropoutBackwardGatesGradient) {
   Rng rng(64);
   Var x(Tensor::ones({64}), true);
-  Var y = dropout(x, 0.5f, rng);
+  Var y = dropout_rows(x, 0.5f, rng);
   backward(sum(y));
   for (int64_t i = 0; i < 64; ++i) {
     float g = x.grad().at(i);

@@ -38,7 +38,7 @@ TEST_P(OpSweep, ElementwiseChain) {
   Rng rng(p.seed);
   check(
       [&p](const std::vector<Var>& v) {
-        return to_scalar(gelu(mul(add(v[0], v[1]), sigmoid(v[0]))), p.seed);
+        return to_scalar(gelu(glu(add(v[0], v[1]), v[0])), p.seed);
       },
       {leaf({p.d0, p.d1}, rng), leaf({p.d0, p.d1}, rng)});
 }

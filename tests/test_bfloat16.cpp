@@ -6,9 +6,6 @@
 #include <limits>
 
 #include "common/rng.h"
-#include "kernels/bf16_kernels.h"
-#include "kernels/gemm.h"
-#include "kernels/layernorm.h"
 #include "tensor/bfloat16.h"
 
 namespace sf {
@@ -108,70 +105,6 @@ TEST(BFloat16, SmallGradientSquaresSurvive) {
   float g2 = g * g;  // 1e-12
   EXPECT_GT(BFloat16(g2).to_float(), 0.0f);  // bf16 keeps it
   // fp16's smallest subnormal is ~6e-8: 1e-12 would flush to zero there.
-}
-
-
-// ---- bf16-storage kernels (§3.4 memory-traffic mechanism) ------------
-
-TEST(Bf16Kernels, ConversionRoundtrip) {
-  Rng rng(40);
-  std::vector<float> src(128), back(128);
-  fill_normal(rng, src.data(), src.size(), 0.0f, 2.0f);
-  std::vector<BFloat16> mid(128);
-  kernels::to_bf16(src.data(), mid.data(), 128);
-  kernels::from_bf16(mid.data(), back.data(), 128);
-  for (int i = 0; i < 128; ++i) {
-    EXPECT_NEAR(back[i], src[i], std::fabs(src[i]) / 128.0f + 1e-6f);
-  }
-}
-
-TEST(Bf16Kernels, AxpbMatchesF32WithinPrecision) {
-  Rng rng(41);
-  const int64_t n = 256;
-  std::vector<float> x(n), y32(n);
-  fill_normal(rng, x.data(), n, 0.0f, 1.0f);
-  kernels::axpb_f32(x.data(), y32.data(), n, 1.5f, -0.25f);
-  std::vector<BFloat16> xb(n), yb(n);
-  kernels::to_bf16(x.data(), xb.data(), n);
-  kernels::axpb_bf16(xb.data(), yb.data(), n, 1.5f, -0.25f);
-  for (int64_t i = 0; i < n; ++i) {
-    EXPECT_NEAR(yb[i].to_float(), y32[i], std::fabs(y32[i]) / 64.0f + 0.02f);
-  }
-}
-
-TEST(Bf16Kernels, LayerNormMatchesF32WithinPrecision) {
-  Rng rng(42);
-  const int64_t rows = 16, cols = 64;
-  std::vector<float> x(rows * cols), gamma(cols), beta(cols), y32(rows * cols);
-  fill_normal(rng, x.data(), x.size(), 0.5f, 2.0f);
-  fill_normal(rng, gamma.data(), cols, 1.0f, 0.2f);
-  fill_normal(rng, beta.data(), cols, 0.0f, 0.2f);
-  kernels::layernorm_forward_fused(x.data(), gamma.data(), beta.data(),
-                                   y32.data(), rows, cols, 1e-5f, nullptr);
-  std::vector<BFloat16> xb(rows * cols), yb(rows * cols);
-  kernels::to_bf16(x.data(), xb.data(), x.size());
-  kernels::layernorm_forward_fused_bf16(xb.data(), gamma.data(), beta.data(),
-                                        yb.data(), rows, cols, 1e-5f);
-  for (size_t i = 0; i < y32.size(); ++i) {
-    EXPECT_NEAR(yb[i].to_float(), y32[i], 0.05f) << i;
-  }
-}
-
-TEST(Bf16Kernels, GemmMatchesF32WithinPrecision) {
-  Rng rng(43);
-  const int64_t m = 9, k = 17, n = 11;
-  std::vector<float> a(m * k), b(k * n), c32(m * n), cb(m * n);
-  fill_normal(rng, a.data(), a.size(), 0.0f, 1.0f);
-  fill_normal(rng, b.data(), b.size(), 0.0f, 1.0f);
-  kernels::gemm(a.data(), b.data(), c32.data(), m, k, n);
-  std::vector<BFloat16> ab(m * k), bb(k * n);
-  kernels::to_bf16(a.data(), ab.data(), a.size());
-  kernels::to_bf16(b.data(), bb.data(), b.size());
-  kernels::gemm_bf16(ab.data(), bb.data(), cb.data(), m, k, n);
-  for (size_t i = 0; i < c32.size(); ++i) {
-    // Relative error ~ sqrt(k) * 2^-8.
-    EXPECT_NEAR(cb[i], c32[i], std::fabs(c32[i]) * 0.05f + 0.1f) << i;
-  }
 }
 
 }  // namespace

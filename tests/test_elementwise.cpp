@@ -17,23 +17,6 @@ std::vector<float> randoms(size_t n, uint64_t seed, float stddev = 1.0f) {
   return v;
 }
 
-TEST(Relu, ForwardClampsNegatives) {
-  std::vector<float> x{-2, -0.5f, 0, 0.5f, 2}, y(5);
-  relu_forward(x.data(), y.data(), 5);
-  EXPECT_EQ(y[0], 0.0f);
-  EXPECT_EQ(y[1], 0.0f);
-  EXPECT_EQ(y[2], 0.0f);
-  EXPECT_EQ(y[3], 0.5f);
-  EXPECT_EQ(y[4], 2.0f);
-}
-
-TEST(Relu, BackwardGatesByInputSign) {
-  std::vector<float> x{-1, 1}, dy{5, 7}, dx(2);
-  relu_backward(x.data(), dy.data(), dx.data(), 2);
-  EXPECT_EQ(dx[0], 0.0f);
-  EXPECT_EQ(dx[1], 7.0f);
-}
-
 TEST(Gelu, KnownValues) {
   std::vector<float> x{0.0f}, y(1);
   gelu_forward(x.data(), y.data(), 1);
@@ -59,27 +42,6 @@ TEST(Gelu, BackwardMatchesFiniteDifferences) {
   }
 }
 
-TEST(Sigmoid, RangeAndSymmetry) {
-  auto x = randoms(64, 5, 3.0f);
-  std::vector<float> y(64);
-  sigmoid_forward(x.data(), y.data(), 64);
-  for (int i = 0; i < 64; ++i) {
-    EXPECT_GT(y[i], 0.0f);
-    EXPECT_LT(y[i], 1.0f);
-  }
-  float a = 1.3f, ya, yb, b = -1.3f;
-  sigmoid_forward(&a, &ya, 1);
-  sigmoid_forward(&b, &yb, 1);
-  EXPECT_NEAR(ya + yb, 1.0f, 1e-6f);
-}
-
-TEST(Sigmoid, BackwardFromOutput) {
-  float x = 0.7f, y, dy = 2.0f, dx;
-  sigmoid_forward(&x, &y, 1);
-  sigmoid_backward_from_output(&y, &dy, &dx, 1);
-  EXPECT_NEAR(dx, 2.0f * y * (1 - y), 1e-6f);
-}
-
 TEST(BiasAdd, Broadcasts) {
   std::vector<float> x{1, 2, 3, 4}, bias{10, 20}, y(4);
   bias_add(x.data(), bias.data(), y.data(), 2, 2);
@@ -89,33 +51,13 @@ TEST(BiasAdd, Broadcasts) {
   EXPECT_EQ(y[3], 24.0f);
 }
 
-TEST(FusedBiasGelu, MatchesUnfusedPair) {
-  const int64_t rows = 8, cols = 16;
-  auto x = randoms(rows * cols, 7);
-  auto bias = randoms(cols, 8);
-  std::vector<float> tmp(rows * cols), y_unfused(rows * cols),
-      y_fused(rows * cols);
-  bias_add(x.data(), bias.data(), tmp.data(), rows, cols);
-  gelu_forward(tmp.data(), y_unfused.data(), rows * cols);
-  fused_bias_gelu(x.data(), bias.data(), y_fused.data(), rows, cols);
-  for (int64_t i = 0; i < rows * cols; ++i) {
-    EXPECT_NEAR(y_unfused[i], y_fused[i], 1e-6f);
-  }
-}
-
-TEST(AddForward, Adds) {
-  std::vector<float> a{1, 2}, b{3, 4}, y(2);
-  add_forward(a.data(), b.data(), y.data(), 2);
-  EXPECT_EQ(y[0], 4.0f);
-  EXPECT_EQ(y[1], 6.0f);
-}
-
 TEST(FusedGlu, ForwardMatchesComposition) {
   auto x = randoms(32, 11);
   auto gate = randoms(32, 12);
-  std::vector<float> sig(32), expect(32), y(32);
-  sigmoid_forward(gate.data(), sig.data(), 32);
-  for (int i = 0; i < 32; ++i) expect[i] = sig[i] * x[i];
+  std::vector<float> expect(32), y(32);
+  for (int i = 0; i < 32; ++i) {
+    expect[i] = x[i] / (1.0f + std::exp(-gate[i]));
+  }
   fused_glu_forward(x.data(), gate.data(), y.data(), 32);
   for (int i = 0; i < 32; ++i) EXPECT_NEAR(y[i], expect[i], 1e-6f);
 }

@@ -226,8 +226,15 @@ TEST(Loader, StressManyBatchesManyWorkers) {
 }
 
 TEST(Loader, ConsumerThroughputReadyFirstBeatsInOrderUnderStraggler) {
-  // End-to-end time with a periodic straggler: ready-first should finish
-  // faster because the consumer never parks behind the slow batch.
+  // A periodic straggler: in-order parks the consumer behind the slow batch
+  // while later ones sit ready; ready-first never does. That count is the
+  // loader's own decision, so it is asserted exactly. The wall-clock claim
+  // compares the best of three runs per policy, so one run the host
+  // stalls cannot flip it.
+  struct Run {
+    double seconds;
+    int64_t waits_behind_ready;
+  };
   auto run = [&](YieldPolicy policy) {
     const int64_t n = 24;
     std::vector<int> delays(n, 0);
@@ -239,11 +246,21 @@ TEST(Loader, ConsumerThroughputReadyFirstBeatsInOrderUnderStraggler) {
       // Consumer "training step" of 5ms.
       std::this_thread::sleep_for(std::chrono::milliseconds(5));
     }
-    return t.elapsed();
+    return Run{t.elapsed(), loader.stats_snapshot().waits_behind_ready};
   };
-  double blocking = run(YieldPolicy::kInOrder);
-  double ready = run(YieldPolicy::kReadyFirst);
-  EXPECT_LT(ready, blocking * 1.05);
+  double best_blocking = 1e30, best_ready = 1e30;
+  int64_t blocking_waits = 0, ready_waits = 0;
+  for (int rep = 0; rep < 3; ++rep) {
+    const Run blocking = run(YieldPolicy::kInOrder);
+    const Run ready = run(YieldPolicy::kReadyFirst);
+    best_blocking = std::min(best_blocking, blocking.seconds);
+    best_ready = std::min(best_ready, ready.seconds);
+    blocking_waits += blocking.waits_behind_ready;
+    ready_waits += ready.waits_behind_ready;
+  }
+  EXPECT_GT(blocking_waits, 0);
+  EXPECT_EQ(ready_waits, 0);
+  EXPECT_LT(best_ready, best_blocking * 1.05);
 }
 
 

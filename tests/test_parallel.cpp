@@ -24,7 +24,6 @@
 #include "common/parallel.h"
 #include "common/rng.h"
 #include "kernels/attention.h"
-#include "kernels/bf16_kernels.h"
 #include "kernels/elementwise.h"
 #include "kernels/gemm.h"
 #include "kernels/layernorm.h"
@@ -563,18 +562,6 @@ TEST(KernelDeterminism, ElementwiseGelu) {
     kernels::gelu_forward(x.data(), y.data(), n);
     kernels::gelu_backward(x.data(), dy.data(), dx.data(), n);
     return std::vector<std::vector<float>>{y, dx};
-  });
-}
-
-TEST(KernelDeterminism, ReduceF32AndBf16) {
-  const int64_t n = (1 << 17) + 5;
-  auto x = random_vec(n, 51);
-  std::vector<BFloat16> xb(n);
-  kernels::to_bf16(x.data(), xb.data(), n);
-  expect_bitwise_1v4([&]() {
-    float rf = kernels::reduce_f32(x.data(), n);
-    float rb = kernels::reduce_bf16(xb.data(), n);
-    return std::vector<std::vector<float>>{{rf}, {rb}};
   });
 }
 

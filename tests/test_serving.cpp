@@ -123,6 +123,14 @@ data::Batch make_cached_batch(const data::SyntheticProteinDataset& ds,
                               int64_t idx, int64_t crop) {
   return ds.prepare_batch(idx, crop);
 }
+
+// One single-flight lookup of `key` whose computation yields `b`; returns
+// whether it was a hit (a miss computes `b` and caches it if it fits).
+bool lookup(FeatureCache& cache, uint64_t key, const data::Batch& b) {
+  bool hit = false;
+  cache.get_or_compute(key, [&b] { return b; }, &hit);
+  return hit;
+}
 }  // namespace
 
 TEST(FeatureCache, ByteAccountingIsExact) {
@@ -134,9 +142,9 @@ TEST(FeatureCache, ByteAccountingIsExact) {
       (b.seq_onehot.numel() + b.msa_feat.numel() + b.template_feat.numel() +
        b.target_pos.numel() + b.residue_mask.numel());
   EXPECT_EQ(FeatureCache::batch_bytes(b), expect);
-  cache.put(1, b);
+  EXPECT_FALSE(lookup(cache, 1, b));
   EXPECT_EQ(cache.bytes(), expect);
-  cache.put(2, b);
+  EXPECT_FALSE(lookup(cache, 2, b));
   EXPECT_EQ(cache.bytes(), 2 * expect);
   EXPECT_EQ(cache.entries(), 2);
 }
@@ -146,19 +154,19 @@ TEST(FeatureCache, LruEvictionOrderAndPromotion) {
   data::Batch b = make_cached_batch(ds, 0, 8);
   const int64_t unit = FeatureCache::batch_bytes(b);
   FeatureCache cache({.max_bytes = 3 * unit, .enabled = true});
-  cache.put(1, b);
-  cache.put(2, b);
-  cache.put(3, b);
+  EXPECT_FALSE(lookup(cache, 1, b));
+  EXPECT_FALSE(lookup(cache, 2, b));
+  EXPECT_FALSE(lookup(cache, 3, b));
   EXPECT_EQ(cache.entries(), 3);
   // Touch 1: it becomes MRU, so 2 is now the LRU victim.
-  EXPECT_TRUE(cache.get(1).has_value());
-  cache.put(4, b);
+  EXPECT_TRUE(lookup(cache, 1, b));
+  EXPECT_FALSE(lookup(cache, 4, b));
   EXPECT_EQ(cache.entries(), 3);
   EXPECT_EQ(cache.evictions(), 1);
-  EXPECT_FALSE(cache.get(2).has_value());  // evicted
-  EXPECT_TRUE(cache.get(1).has_value());   // survived via promotion
-  EXPECT_TRUE(cache.get(3).has_value());
-  EXPECT_TRUE(cache.get(4).has_value());
+  EXPECT_TRUE(lookup(cache, 1, b));  // survived via promotion
+  EXPECT_TRUE(lookup(cache, 3, b));
+  EXPECT_TRUE(lookup(cache, 4, b));
+  EXPECT_FALSE(lookup(cache, 2, b));  // evicted (now recomputed)
   EXPECT_LE(cache.bytes(), 3 * unit);
 }
 
@@ -167,7 +175,8 @@ TEST(FeatureCache, OversizedEntryIsNotCached) {
   data::Batch b = make_cached_batch(ds, 0, 16);
   FeatureCache cache(
       {.max_bytes = FeatureCache::batch_bytes(b) - 1, .enabled = true});
-  cache.put(1, b);
+  EXPECT_FALSE(lookup(cache, 1, b));
+  EXPECT_FALSE(lookup(cache, 1, b));  // computed again: nothing was kept
   EXPECT_EQ(cache.entries(), 0);
   EXPECT_EQ(cache.bytes(), 0);
 }
@@ -175,8 +184,9 @@ TEST(FeatureCache, OversizedEntryIsNotCached) {
 TEST(FeatureCache, DisabledCacheNeverHits) {
   data::SyntheticProteinDataset ds(tiny_data());
   FeatureCache cache({.max_bytes = 1ll << 30, .enabled = false});
-  cache.put(1, make_cached_batch(ds, 0, 8));
-  EXPECT_FALSE(cache.get(1).has_value());
+  const data::Batch b = make_cached_batch(ds, 0, 8);
+  EXPECT_FALSE(lookup(cache, 1, b));
+  EXPECT_FALSE(lookup(cache, 1, b));
   EXPECT_EQ(cache.entries(), 0);
 }
 
@@ -190,10 +200,10 @@ TEST(FeatureCache, KeySeparatesBucketsAndSequences) {
 TEST(FeatureCache, HitAndMissCounters) {
   data::SyntheticProteinDataset ds(tiny_data());
   FeatureCache cache({.max_bytes = 1ll << 30, .enabled = true});
-  EXPECT_FALSE(cache.get(7).has_value());
-  cache.put(7, make_cached_batch(ds, 0, 8));
-  EXPECT_TRUE(cache.get(7).has_value());
-  EXPECT_TRUE(cache.get(7).has_value());
+  const data::Batch b = make_cached_batch(ds, 0, 8);
+  EXPECT_FALSE(lookup(cache, 7, b));
+  EXPECT_TRUE(lookup(cache, 7, b));
+  EXPECT_TRUE(lookup(cache, 7, b));
   EXPECT_EQ(cache.hits(), 2);
   EXPECT_EQ(cache.misses(), 1);
 }
